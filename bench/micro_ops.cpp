@@ -3,13 +3,9 @@
 // max at several coefficient dimensions, full-graph propagation, the
 // all-pairs criticality engine, PCA, and Monte Carlo sampling — plus the
 // executor-based thread sweeps (1/2/4/8 threads) for the three hot paths
-// the exec layer parallelizes and the level-synchronous single-sweep
-// propagation. Run with
+// the exec layer parallelizes. Run with
 //   --benchmark_out=bench_out/BENCH_micro_ops.json --benchmark_out_format=json
-// to land the speedup trajectory in a BENCH_*.json artifact. The per-sweep
-// propagation timings (with their bit-identity gates) live in the
-// standalone bench/propagate_scale.cpp harness, which owns
-// bench_out/BENCH_propagate.json.
+// to land the speedup trajectory in a BENCH_*.json artifact.
 
 #include <benchmark/benchmark.h>
 
@@ -184,25 +180,6 @@ void BM_FlatMcThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlatMcThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// --- level-synchronous propagation (Arg = thread count) ---------------------
-// One full-graph forward sweep on c7552, level-parallel: the single-sweep
-// hot path that the per-input fan-out cannot speed up.
-
-void BM_PropagateLevelThreads(benchmark::State& state) {
-  const flow::Module& module = c7552_module();
-  const auto ex = exec::make_executor(static_cast<size_t>(state.range(0)));
-  timing::PropagationResult r;
-  for (auto _ : state) {
-    timing::propagate_arrivals_into(module.graph(), {}, r, *ex,
-                                    timing::LevelParallel::kOn);
-    benchmark::DoNotOptimize(r.time.data());
-  }
-}
-BENCHMARK(BM_PropagateLevelThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

@@ -15,7 +15,8 @@ int main() {
   using namespace hssta;
 
   // The block to protect: a c432-sized circuit (use
-  // flow::Module::from_bench_file to load a real netlist instead).
+  // flow::Module::from_file to load a real .bench or BLIF netlist
+  // instead).
   // The default flow::Config already uses the paper's threshold
   // delta = 0.05.
   const flow::Module m = flow::Module::from_iscas("c432");

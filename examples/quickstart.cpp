@@ -22,7 +22,7 @@ int main() {
   //    analyzed with the paper's 90nm setup (Leff/Tox/Vth with
   //    0.42/0.53/0.05 variance split, 0.92-neighbour correlation) — the
   //    default flow::Config. (Any netlist works — see
-  //    flow::Module::from_bench_file for .bench input.)
+  //    flow::Module::from_file for .bench or BLIF input.)
   const flow::Module m = flow::Module::from_netlist(
       netlist::make_ripple_adder(8, *flow::default_library()));
   std::printf("circuit: %s — %zu gates, %zu nets, depth %zu\n",

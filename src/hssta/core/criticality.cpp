@@ -11,7 +11,6 @@ namespace hssta::core {
 
 using timing::CanonicalForm;
 using timing::EdgeId;
-using timing::LevelStructure;
 using timing::MaxDiagnostics;
 using timing::PropagationResult;
 using timing::TimingGraph;
@@ -36,74 +35,35 @@ struct CritScratch {
   MaxDiagnostics diag;
 };
 
-/// Per-worker scratch of the level-synchronous tightness pass.
-struct TightnessScratch {
-  timing::FormBank cand;
-  std::vector<EdgeId> cand_edge;
-  timing::FormBank split_scratch;
-  std::vector<double> split;
-  MaxDiagnostics diag;
-};
-
-/// Tightness probabilities of one vertex's fanin: tp[e] = Prob{edge e
-/// carries the maximal fanin arrival of v}, renormalized so they partition
-/// exactly. Shared by the serial and level-synchronous drivers. Candidates
-/// are assembled into rows of the caller's `cand` bank and split in place —
-/// a warm scratch makes the whole pass allocation-free.
-template <typename Scratch>
-void tightness_vertex(const TimingGraph& g, const PropagationResult& arrival,
-                      VertexId v, std::vector<double>& tp, Scratch& sc,
-                      MaxDiagnostics* diag) {
-  const auto& fanin = g.vertex(v).fanin;
-  if (fanin.empty()) return;
-  sc.cand_edge.clear();
-  if (sc.cand.rows() < fanin.size() || sc.cand.dim() != g.dim())
-    sc.cand.reset(fanin.size(), g.dim());
-  size_t n = 0;
-  for (EdgeId e : fanin) {
-    const timing::TimingEdge& te = g.edge(e);
-    if (!arrival.valid[te.from]) continue;
-    timing::add_into(sc.cand.row(n), arrival.time.row(te.from),
-                     te.delay.view());
-    sc.cand_edge.push_back(e);
-    ++n;
-  }
-  if (n == 0) return;
-  timing::tightness_split_into(sc.cand, n, sc.split, sc.split_scratch, diag);
-  for (size_t t = 0; t < n; ++t) tp[sc.cand_edge[t]] = sc.split[t];
-}
-
-/// Fanin tightness probabilities for one arrival propagation (serial
-/// driver). Writes sc.tp.
+/// Fanin tightness probabilities for one arrival propagation: sc.tp[e] =
+/// Prob{edge e carries the maximal fanin arrival of its sink}, renormalized
+/// per vertex so they partition exactly. Each vertex's candidates are
+/// assembled into rows of the scratch `cand` bank and split in place — a
+/// warm scratch makes the whole pass allocation-free.
 void fanin_tightness_into(const TimingGraph& g,
                           const PropagationResult& arrival,
                           MaxDiagnostics* diag, CritScratch& sc) {
   sc.tp.assign(g.num_edge_slots(), 0.0);
-  for (VertexId v : g.topo_order())
-    tightness_vertex(g, arrival, v, sc.tp, sc, diag);
-}
-
-/// Level-synchronous tightness driver: each edge's tp is written by its
-/// sink's task only, so a level's vertices fan out race-free; the per-
-/// worker diagnostics counters merge into `diag` by integer sum, equal to
-/// the serial totals.
-void fanin_tightness_level(const TimingGraph& g,
-                           const PropagationResult& arrival,
-                           const LevelStructure& ls, exec::Executor& ex,
-                           std::vector<double>& tp, MaxDiagnostics& diag) {
-  tp.assign(g.num_edge_slots(), 0.0);
-  for (size_t w = 0; w < ex.num_workspaces(); ++w)
-    ex.workspace(w).get<TightnessScratch>().diag = MaxDiagnostics{};
-  timing::for_each_level(ls, ex, /*front_to_back=*/true,
-                         [&](VertexId v) {
-                           return 1 + g.vertex(v).fanin.size() * g.dim();
-                         },
-                         [&](VertexId v, exec::Workspace& ws) {
-                           TightnessScratch& ts = ws.get<TightnessScratch>();
-                           tightness_vertex(g, arrival, v, tp, ts, &ts.diag);
-                         });
-  for (size_t w = 0; w < ex.num_workspaces(); ++w)
-    diag += ex.workspace(w).get<TightnessScratch>().diag;
+  for (VertexId v : g.topo_order()) {
+    const auto& fanin = g.vertex(v).fanin;
+    if (fanin.empty()) continue;
+    sc.cand_edge.clear();
+    if (sc.cand.rows() < fanin.size() || sc.cand.dim() != g.dim())
+      sc.cand.reset(fanin.size(), g.dim());
+    size_t n = 0;
+    for (EdgeId e : fanin) {
+      const timing::TimingEdge& te = g.edge(e);
+      if (!arrival.valid[te.from]) continue;
+      timing::add_into(sc.cand.row(n), arrival.time.row(te.from),
+                       te.delay.view());
+      sc.cand_edge.push_back(e);
+      ++n;
+    }
+    if (n == 0) continue;
+    timing::tightness_split_into(sc.cand, n, sc.split, sc.split_scratch,
+                                 diag);
+    for (size_t t = 0; t < n; ++t) sc.tp[sc.cand_edge[t]] = sc.split[t];
+  }
 }
 
 /// The batched backward pass's gather schedule. For every vertex u,
@@ -167,40 +127,10 @@ void seed_frontier(const std::vector<VertexId>& outs,
   }
 }
 
-/// Gather one vertex's frontier row: pull vc(sink) * tp(e) over u's fanout
-/// edges (in scatter order) for every output at once, folding each
-/// contribution into `combine`. Writes only u's own row / flag, so a
-/// topological level of gathers is race-free.
-template <typename Combine>
-inline void gather_vertex(const TimingGraph& g, const BackwardPlan& plan,
-                          VertexId u, size_t num_outs, double prune_epsilon,
-                          const std::vector<double>& tp, CritScratch& sc,
-                          Combine&& combine) {
-  double* row = sc.vc.data() + static_cast<size_t>(u) * num_outs;
-  bool active = sc.row_active[u] != 0;  // a seeded output row stays active
-  const size_t begin = plan.offsets[u];
-  const size_t end = plan.offsets[u + 1];
-  for (size_t k = begin; k < end; ++k) {
-    const EdgeId e = plan.edges[k];
-    const VertexId sink = g.edge(e).to;
-    if (!sc.row_active[sink]) continue;
-    const double tp_e = tp[e];
-    const double* sink_row =
-        sc.vc.data() + static_cast<size_t>(sink) * num_outs;
-    for (size_t j = 0; j < num_outs; ++j) {
-      const double mass = sink_row[j];
-      if (mass <= prune_epsilon) continue;  // the scatter pass's cutoff
-      const double c = mass * tp_e;
-      if (c <= 0.0) continue;
-      combine(e, c);
-      row[j] += c;
-      active = true;
-    }
-  }
-  sc.row_active[u] = active ? 1 : 0;
-}
-
-/// Batched backward pass over all outputs for one input, serial driver.
+/// Batched backward pass over all outputs for one input. Visiting u in
+/// reverse topological order gathers its frontier row: pull vc(sink) *
+/// tp(e) over u's fanout edges (in scatter order) for every output at
+/// once, folding each contribution into `combine`.
 template <typename Combine>
 void batched_backward(const TimingGraph& g, const BackwardPlan& plan,
                       const std::vector<VertexId>& outs,
@@ -209,35 +139,28 @@ void batched_backward(const TimingGraph& g, const BackwardPlan& plan,
   const size_t num_outs = outs.size();
   reset_frontier(g, num_outs, sc);
   seed_frontier(outs, arrival, num_outs, sc);
-  for (VertexId u : plan.reverse_order)
-    gather_vertex(g, plan, u, num_outs, prune_epsilon, sc.tp, sc, combine);
-}
-
-/// Level-synchronous driver of the same pass: sweeps the level buckets back
-/// to front; a vertex only reads rows of strictly higher levels and writes
-/// its own, and combine targets (cm of u's fanout edges) have a unique
-/// writing vertex, so no merge step is needed.
-template <typename Combine>
-void batched_backward_level(const TimingGraph& g, const BackwardPlan& plan,
-                            const LevelStructure& ls,
-                            const std::vector<VertexId>& outs,
-                            const PropagationResult& arrival,
-                            double prune_epsilon, exec::Executor& ex,
-                            CritScratch& sc, Combine&& combine) {
-  const size_t num_outs = outs.size();
-  reset_frontier(g, num_outs, sc);
-  seed_frontier(outs, arrival, num_outs, sc);
-  timing::for_each_level(ls, ex, /*front_to_back=*/false,
-                         [&](VertexId v) {
-                           // Gather cost: one row combine per fanout edge
-                           // per output column.
-                           return 1 + (plan.offsets[v + 1] - plan.offsets[v]) *
-                                          num_outs;
-                         },
-                         [&](VertexId v, exec::Workspace&) {
-                           gather_vertex(g, plan, v, num_outs, prune_epsilon,
-                                         sc.tp, sc, combine);
-                         });
+  for (VertexId u : plan.reverse_order) {
+    double* row = sc.vc.data() + static_cast<size_t>(u) * num_outs;
+    bool active = sc.row_active[u] != 0;  // a seeded output row stays active
+    for (size_t k = plan.offsets[u]; k < plan.offsets[u + 1]; ++k) {
+      const EdgeId e = plan.edges[k];
+      const VertexId sink = g.edge(e).to;
+      if (!sc.row_active[sink]) continue;
+      const double tp_e = sc.tp[e];
+      const double* sink_row =
+          sc.vc.data() + static_cast<size_t>(sink) * num_outs;
+      for (size_t j = 0; j < num_outs; ++j) {
+        const double mass = sink_row[j];
+        if (mass <= prune_epsilon) continue;  // the scatter pass's cutoff
+        const double c = mass * tp_e;
+        if (c <= 0.0) continue;
+        combine(e, c);
+        row[j] += c;
+        active = true;
+      }
+    }
+    sc.row_active[u] = active ? 1 : 0;
+  }
 }
 
 /// Scalar backward pass for one (input, output) pair — the legacy scatter
@@ -280,78 +203,48 @@ CriticalityResult compute_criticality(const TimingGraph& g,
   if (opts.with_io_delays)
     res.io_delays = DelayMatrix(ins.size(), outs.size(), g.dim());
 
-  const std::shared_ptr<const LevelStructure> ls = g.levels();
-  const BackwardPlan plan = make_backward_plan(g, ls->order);
+  const BackwardPlan plan = make_backward_plan(g, g.levels()->order);
 
-  // Exclusive spans the reset -> region(s) -> merge sequence so concurrent
+  // Exclusive spans the reset -> region -> merge sequence so concurrent
   // callers sharing `ex` serialize instead of interleaving workspaces.
   const exec::Executor::Exclusive scope(ex);
-
-  if (timing::use_level_parallel(*ls, ex.concurrency(), opts.level_parallel,
-                                 ins.size())) {
-    // Serial input loop; propagation, tightness and the batched backward
-    // pass each fan a level's vertices out across the executor. cm entries
-    // are written by their edge's unique source vertex, so the fold lands
-    // directly in the result.
-    CritScratch& sc = ex.workspace(0).get<CritScratch>();
+  for (size_t w = 0; w < ex.num_workspaces(); ++w) {
+    CritScratch& sc = ex.workspace(w).get<CritScratch>();
+    sc.cm.assign(g.num_edge_slots(), 0.0);
     sc.diag = MaxDiagnostics{};
-    for (size_t i = 0; i < ins.size(); ++i) {
-      const VertexId sources[] = {ins[i]};
-      timing::propagate_arrivals_into(g, sources, sc.prop, ex,
-                                      timing::LevelParallel::kOn);
-      sc.diag += sc.prop.diagnostics;
-      fanin_tightness_level(g, sc.prop, *ls, ex, sc.tp, sc.diag);
-      batched_backward_level(g, plan, *ls, outs, sc.prop, opts.prune_epsilon,
-                             ex, sc, [&](EdgeId e, double c) {
-                               if (c > res.max_criticality[e])
-                                 res.max_criticality[e] = c;
-                             });
-      if (opts.with_io_delays) {
-        for (size_t j = 0; j < outs.size(); ++j)
-          if (sc.prop.valid[outs[j]])
-            res.io_delays.set(i, j, sc.prop.time.form(outs[j]));
-      }
+  }
+
+  // One work item per input port: forward canonical propagation + fanin
+  // tightness, then one batched backward pass over all outputs. Each
+  // worker folds into its own cm accumulator; io_delays rows are
+  // per-input, so they are written without synchronization.
+  ex.parallel_for(ins.size(), [&](size_t i, exec::Workspace& ws) {
+    CritScratch& sc = ws.get<CritScratch>();
+    const VertexId sources[] = {ins[i]};
+    timing::propagate_arrivals_into(g, sources, sc.prop);
+    sc.diag += sc.prop.diagnostics;
+    fanin_tightness_into(g, sc.prop, &sc.diag, sc);
+
+    batched_backward(g, plan, outs, sc.prop, opts.prune_epsilon, sc,
+                     [&](EdgeId e, double c) {
+                       if (c > sc.cm[e]) sc.cm[e] = c;
+                     });
+
+    if (opts.with_io_delays) {
+      for (size_t j = 0; j < outs.size(); ++j)
+        if (sc.prop.valid[outs[j]])
+          res.io_delays.set(i, j, sc.prop.time.form(outs[j]));
     }
+  });
+
+  // Merge the per-worker accumulators. max over doubles and integer sums
+  // are order-insensitive, so this equals the serial fold bit-for-bit.
+  for (size_t w = 0; w < ex.num_workspaces(); ++w) {
+    const CritScratch& sc = ex.workspace(w).get<CritScratch>();
     res.diagnostics += sc.diag;
-  } else {
-    for (size_t w = 0; w < ex.num_workspaces(); ++w) {
-      CritScratch& sc = ex.workspace(w).get<CritScratch>();
-      sc.cm.assign(g.num_edge_slots(), 0.0);
-      sc.diag = MaxDiagnostics{};
-    }
-
-    // One work item per input port: forward canonical propagation + fanin
-    // tightness, then one batched backward pass over all outputs. Each
-    // worker folds into its own cm accumulator; io_delays rows are
-    // per-input, so they are written without synchronization.
-    ex.parallel_for(ins.size(), [&](size_t i, exec::Workspace& ws) {
-      CritScratch& sc = ws.get<CritScratch>();
-      const VertexId sources[] = {ins[i]};
-      timing::propagate_arrivals_into(g, sources, sc.prop);
-      sc.diag += sc.prop.diagnostics;
-      fanin_tightness_into(g, sc.prop, &sc.diag, sc);
-
-      batched_backward(g, plan, outs, sc.prop, opts.prune_epsilon, sc,
-                       [&](EdgeId e, double c) {
-                         if (c > sc.cm[e]) sc.cm[e] = c;
-                       });
-
-      if (opts.with_io_delays) {
-        for (size_t j = 0; j < outs.size(); ++j)
-          if (sc.prop.valid[outs[j]])
-            res.io_delays.set(i, j, sc.prop.time.form(outs[j]));
-      }
-    });
-
-    // Merge the per-worker accumulators. max over doubles and integer sums
-    // are order-insensitive, so this equals the serial fold bit-for-bit.
-    for (size_t w = 0; w < ex.num_workspaces(); ++w) {
-      const CritScratch& sc = ex.workspace(w).get<CritScratch>();
-      res.diagnostics += sc.diag;
-      for (size_t e = 0; e < res.max_criticality.size(); ++e)
-        if (sc.cm[e] > res.max_criticality[e])
-          res.max_criticality[e] = sc.cm[e];
-    }
+    for (size_t e = 0; e < res.max_criticality.size(); ++e)
+      if (sc.cm[e] > res.max_criticality[e])
+        res.max_criticality[e] = sc.cm[e];
   }
   // Reconvergence can push the tp partition marginally above 1; clamp.
   for (double& c : res.max_criticality) c = std::min(c, 1.0);

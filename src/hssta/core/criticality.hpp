@@ -22,10 +22,8 @@
 ///     vc_ij(to(e)) * tp_i(e) over u's fanout edges for every j in one
 ///     sweep, folding c_ij(e) into cm(e) on the way. The gather order is
 ///     arranged to reproduce the scalar per-(i, j) scatter pass's
-///     floating-point accumulation exactly (see gather_plan in the .cpp),
-///     so batching is a pure speedup: one traversal instead of |outputs|,
-///     and each vertex writes only its own row, which is what lets the
-///     level-synchronous schedule fan a level's vertices out race-free.
+///     floating-point accumulation exactly (see BackwardPlan in the .cpp),
+///     so batching is a pure speedup: one traversal instead of |outputs|.
 ///
 /// By construction the criticalities of any input-output cut sum to 1
 /// (leave-one-out tightness probabilities are renormalized per vertex), a
@@ -53,11 +51,10 @@ struct CriticalityOptions {
   /// Also compute the all-pairs IO delay matrix and return it (the
   /// extraction pipeline wants both; switch off when only cm is needed).
   bool with_io_delays = true;
-  /// Parallel schedule (never changes any result bit): per-input fan-out
-  /// across the executor, or — when the input count cannot occupy it — a
-  /// serial input loop whose propagation / tightness / batched backward
-  /// passes are each level-synchronous. kAuto picks by input count and
-  /// graph width (timing::use_level_parallel).
+  /// Unused: criticality has one schedule, the per-input fan-out. The field
+  /// stays only because perfbench/src/characterize.cpp assigns
+  /// flow::Config::level_parallel to it; the next benchmark change deletes
+  /// that line, this field and the Config one.
   timing::LevelParallel level_parallel = timing::LevelParallel::kAuto;
 };
 

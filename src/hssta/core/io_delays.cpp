@@ -76,26 +76,10 @@ struct IoDelayScratch {
 }  // namespace
 
 DelayMatrix all_pairs_io_delays(const TimingGraph& g, exec::Executor& ex,
-                                timing::MaxDiagnostics* diag,
-                                timing::LevelParallel mode) {
+                                timing::MaxDiagnostics* diag) {
   const auto& ins = g.inputs();
   const auto& outs = g.outputs();
   DelayMatrix m(ins.size(), outs.size(), g.dim());
-  if (timing::use_level_parallel(g, ex.concurrency(), mode, ins.size())) {
-    // Few rows relative to the executor: keep the row loop serial and let
-    // each propagation sweep its levels in parallel instead.
-    const exec::Executor::Exclusive scope(ex);
-    IoDelayScratch& sc = ex.workspace(0).get<IoDelayScratch>();
-    for (size_t i = 0; i < ins.size(); ++i) {
-      const VertexId sources[] = {ins[i]};
-      timing::propagate_arrivals_into(g, sources, sc.prop, ex,
-                                      timing::LevelParallel::kOn);
-      if (diag) *diag += sc.prop.diagnostics;
-      for (size_t j = 0; j < outs.size(); ++j)
-        if (sc.prop.valid[outs[j]]) m.set(i, j, sc.prop.time.form(outs[j]));
-    }
-    return m;
-  }
   // Exclusive spans the reset -> region -> merge sequence so concurrent
   // callers sharing `ex` serialize instead of interleaving workspaces.
   const exec::Executor::Exclusive scope(ex);

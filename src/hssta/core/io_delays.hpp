@@ -49,16 +49,12 @@ class DelayMatrix {
 };
 
 /// Compute the delay matrix of a timing graph: one forward propagation per
-/// input port (rows/columns follow g.inputs()/g.outputs() order). Two
-/// parallel schedules, chosen by `mode` (see timing::use_level_parallel):
-/// the per-input fan-out (one row per work item, per-thread propagation
-/// scratch) or, when the input count cannot occupy `ex`, a serial row loop
-/// whose propagations are themselves level-synchronous. Results are
-/// bit-identical across schedules and thread counts.
+/// input port (rows/columns follow g.inputs()/g.outputs() order), fanned
+/// out across `ex` one row per work item with per-thread propagation
+/// scratch. Results are bit-identical at every thread count.
 [[nodiscard]] DelayMatrix all_pairs_io_delays(
     const timing::TimingGraph& g, exec::Executor& ex,
-    timing::MaxDiagnostics* diag = nullptr,
-    timing::LevelParallel mode = timing::LevelParallel::kAuto);
+    timing::MaxDiagnostics* diag = nullptr);
 
 /// Serial convenience overload (runs on a call-local SerialExecutor).
 [[nodiscard]] DelayMatrix all_pairs_io_delays(

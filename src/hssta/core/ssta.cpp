@@ -1,6 +1,5 @@
 #include "hssta/core/ssta.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "hssta/timing/statops.hpp"
@@ -13,54 +12,8 @@ using timing::PropagationResult;
 using timing::TimingGraph;
 using timing::VertexId;
 
-namespace {
-
-/// slack(v) = required - (arrival(v) + remaining(v)); the variability
-/// coefficients flip sign, the private random magnitude is unchanged.
-/// Shared per-vertex assembly of the serial and parallel overloads.
-/// Assembled straight from the two bank rows — the through-path sum is
-/// never materialized, so this allocates nothing (the slack entry's buffer
-/// is recycled by the caller's assign).
-inline void assemble_slack(const TimingGraph& g, VertexId v,
-                           const PropagationResult& arrivals,
-                           const PropagationResult& remaining,
-                           double required_at_outputs, SlackResult& out) {
-  if (!g.vertex_alive(v) || !arrivals.valid[v] || !remaining.valid[v]) return;
-  const timing::ConstFormView at = arrivals.time.row(v);
-  const timing::ConstFormView rt = remaining.time.row(v);
-  CanonicalForm& s = out.slack[v];
-  s.set_nominal(required_at_outputs - (*at.nominal + *rt.nominal));
-  const std::span<double> sc = s.corr();
-  for (size_t k = 0; k < g.dim(); ++k) sc[k] = -(at.corr[k] + rt.corr[k]);
-  s.set_random(
-      std::sqrt(*at.random * *at.random + *rt.random * *rt.random));
-  out.valid[v] = 1;
-}
-
-SlackResult slack_from_passes(const TimingGraph& g,
-                              const PropagationResult& arrivals,
-                              const PropagationResult& remaining,
-                              double required_at_outputs) {
-  SlackResult out;
-  out.slack.assign(g.num_vertex_slots(), CanonicalForm(g.dim()));
-  out.valid.assign(g.num_vertex_slots(), 0);
-  for (VertexId v = 0; v < g.num_vertex_slots(); ++v)
-    assemble_slack(g, v, arrivals, remaining, required_at_outputs, out);
-  return out;
-}
-
-}  // namespace
-
 SstaResult run_ssta(const TimingGraph& g) {
   SstaResult r{timing::propagate_arrivals(g), CanonicalForm(g.dim())};
-  r.delay = timing::circuit_delay(g, r.arrivals, &r.arrivals.diagnostics);
-  return r;
-}
-
-SstaResult run_ssta(const TimingGraph& g, exec::Executor& ex,
-                    timing::LevelParallel mode) {
-  SstaResult r{PropagationResult{}, CanonicalForm(g.dim())};
-  timing::propagate_arrivals_into(g, {}, r.arrivals, ex, mode);
   r.delay = timing::circuit_delay(g, r.arrivals, &r.arrivals.diagnostics);
   return r;
 }
@@ -71,34 +24,27 @@ SlackResult compute_slack(const TimingGraph& g, double required_at_outputs) {
   // is the statistical max delay from v to any output.
   PropagationResult remaining;
   timing::propagate_required_into(g, {}, remaining);
-  return slack_from_passes(g, arrivals, remaining, required_at_outputs);
-}
 
-SlackResult compute_slack(const TimingGraph& g, double required_at_outputs,
-                          exec::Executor& ex, timing::LevelParallel mode) {
-  // Honor the mode for the assembly loop too: kOff promises not to occupy
-  // the executor from within a sweep.
-  if (!timing::use_level_parallel(g, ex.concurrency(), mode))
-    return compute_slack(g, required_at_outputs);
-  PropagationResult arrivals;
-  timing::propagate_arrivals_into(g, {}, arrivals, ex,
-                                  timing::LevelParallel::kOn);
-  PropagationResult remaining;
-  timing::propagate_required_into(g, {}, remaining, ex,
-                                  timing::LevelParallel::kOn);
-
+  // slack(v) = required - (arrival(v) + remaining(v)); the variability
+  // coefficients flip sign, the private random magnitude is unchanged.
+  // Assembled straight from the two bank rows — the through-path sum is
+  // never materialized.
   SlackResult out;
   out.slack.assign(g.num_vertex_slots(), CanonicalForm(g.dim()));
   out.valid.assign(g.num_vertex_slots(), 0);
-  // Per-slot writes are disjoint, so the assembly is a flat parallel loop.
-  const exec::Executor::Exclusive scope(ex);
-  exec::run_maybe_parallel(ex, g.num_vertex_slots(),
-                           timing::kMinLevelFanOut,
-                           [&](size_t v, exec::Workspace&) {
-                             assemble_slack(g, static_cast<VertexId>(v),
-                                            arrivals, remaining,
-                                            required_at_outputs, out);
-                           });
+  for (VertexId v = 0; v < g.num_vertex_slots(); ++v) {
+    if (!g.vertex_alive(v) || !arrivals.valid[v] || !remaining.valid[v])
+      continue;
+    const timing::ConstFormView at = arrivals.time.row(v);
+    const timing::ConstFormView rt = remaining.time.row(v);
+    CanonicalForm& s = out.slack[v];
+    s.set_nominal(required_at_outputs - (*at.nominal + *rt.nominal));
+    const std::span<double> sc = s.corr();
+    for (size_t k = 0; k < g.dim(); ++k) sc[k] = -(at.corr[k] + rt.corr[k]);
+    s.set_random(
+        std::sqrt(*at.random * *at.random + *rt.random * *rt.random));
+    out.valid[v] = 1;
+  }
   return out;
 }
 

@@ -5,7 +5,6 @@
 
 #pragma once
 
-#include "hssta/exec/executor.hpp"
 #include "hssta/timing/graph.hpp"
 #include "hssta/timing/propagate.hpp"
 
@@ -25,14 +24,6 @@ struct SstaResult {
 /// Run arrival propagation from all input ports and fold the output max.
 [[nodiscard]] SstaResult run_ssta(const timing::TimingGraph& g);
 
-/// Level-synchronous variant: the arrival sweep fans each topological
-/// level's vertices out across `ex` (kAuto falls back to serial for narrow
-/// graphs or serial executors). Bit-identical to run_ssta(g) at every
-/// thread count.
-[[nodiscard]] SstaResult run_ssta(
-    const timing::TimingGraph& g, exec::Executor& ex,
-    timing::LevelParallel mode = timing::LevelParallel::kAuto);
-
 /// Statistical slack of each vertex against a deterministic required time
 /// at every output port (extension; slack = required - latest arrival
 /// through that vertex, as a canonical form).
@@ -43,14 +34,5 @@ struct SlackResult {
 
 [[nodiscard]] SlackResult compute_slack(const timing::TimingGraph& g,
                                         double required_at_outputs);
-
-/// Level-synchronous variant: both the forward arrival sweep and the
-/// backward required-time (remaining delay) sweep run level-parallel on
-/// `ex`, as does the per-vertex slack assembly. Bit-identical to the serial
-/// overload at every thread count.
-[[nodiscard]] SlackResult compute_slack(
-    const timing::TimingGraph& g, double required_at_outputs,
-    exec::Executor& ex,
-    timing::LevelParallel mode = timing::LevelParallel::kAuto);
 
 }  // namespace hssta::core

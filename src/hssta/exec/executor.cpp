@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -32,18 +33,6 @@ void require_not_active(const Executor* e) {
         "region on this call stack");
 }
 
-void check_bounds(std::span<const size_t> bounds, size_t max_slots) {
-  HSSTA_REQUIRE(bounds.size() >= 2,
-                "parallel_for_chunks: need at least one chunk");
-  HSSTA_REQUIRE(bounds.front() == 0,
-                "parallel_for_chunks: bounds must start at 0");
-  for (size_t w = 1; w < bounds.size(); ++w)
-    HSSTA_REQUIRE(bounds[w - 1] <= bounds[w],
-                  "parallel_for_chunks: bounds must be nondecreasing");
-  HSSTA_REQUIRE(bounds.size() - 1 <= max_slots,
-                "parallel_for_chunks: more chunks than worker slots");
-}
-
 }  // namespace
 
 // --- SerialExecutor ---------------------------------------------------------
@@ -53,13 +42,6 @@ void SerialExecutor::parallel_for(size_t n, const Task& task) {
   const Exclusive scope(*this);
   const ActiveRegion region(this);
   for (size_t i = 0; i < n; ++i) task(i, workspace_);
-}
-
-void SerialExecutor::parallel_for_chunks(std::span<const size_t> bounds,
-                                         const Task& task) {
-  // Any chunk count collapses onto the one serial slot.
-  check_bounds(bounds, bounds.size() - 1);
-  parallel_for(bounds.back(), task);
 }
 
 Workspace& SerialExecutor::workspace(size_t slot) {
@@ -82,9 +64,6 @@ struct ThreadPoolExecutor::Impl {
   uint64_t generation = 0;
   size_t job_n = 0;
   size_t job_slots = 0;  ///< worker slots participating in the current job
-  /// Caller-provided chunk boundaries (parallel_for_chunks); null for the
-  /// uniform static chunks of parallel_for.
-  const size_t* job_bounds = nullptr;
   const Task* job_task = nullptr;
   size_t pending = 0;  ///< spawned workers that have not finished the job
   std::vector<std::exception_ptr> errors;  ///< per worker slot
@@ -93,11 +72,8 @@ struct ThreadPoolExecutor::Impl {
   std::vector<std::thread> workers;  ///< slots 1 .. num_threads-1
 
   void run_chunk(const Executor* self, size_t slot) {
-    // Bounds of this slot's chunk: caller-provided or uniform static.
-    const size_t begin =
-        job_bounds ? job_bounds[slot] : slot * job_n / job_slots;
-    const size_t end =
-        job_bounds ? job_bounds[slot + 1] : (slot + 1) * job_n / job_slots;
+    const size_t begin = slot * job_n / job_slots;
+    const size_t end = (slot + 1) * job_n / job_slots;
     const ActiveRegion region(self);
     try {
       const Task& task = *job_task;
@@ -108,24 +84,20 @@ struct ThreadPoolExecutor::Impl {
     }
   }
 
-  /// Shared driver of parallel_for / parallel_for_chunks: run `slots`
-  /// chunks of [0, n) (uniform when `bounds` is null) and rethrow the
-  /// lowest-slot failure. Caller holds the Exclusive scope; `bounds` must
-  /// outlive the job (both entry points block until it drains).
+  /// Run `slots` uniform static chunks of [0, n) and rethrow the
+  /// lowest-slot failure. Caller holds the Exclusive scope.
   void run_job(const Executor* self, size_t n, size_t slots,
-               const size_t* bounds, const Task& task) {
+               const Task& task) {
     if (slots == 1) {
       // Inline, but with the same chunk bookkeeping (slot 0, whole range).
       {
         std::lock_guard<std::mutex> lock(m);
         job_n = n;
         job_slots = 1;
-        job_bounds = bounds;
         job_task = &task;
         errors[0] = nullptr;
       }
       run_chunk(self, 0);
-      job_bounds = nullptr;
       if (errors[0]) std::rethrow_exception(errors[0]);
       return;
     }
@@ -134,7 +106,6 @@ struct ThreadPoolExecutor::Impl {
       std::lock_guard<std::mutex> lock(m);
       job_n = n;
       job_slots = slots;
-      job_bounds = bounds;
       job_task = &task;
       pending = num_threads - 1;
       std::fill(errors.begin(), errors.end(), nullptr);
@@ -148,7 +119,6 @@ struct ThreadPoolExecutor::Impl {
       std::unique_lock<std::mutex> lock(m);
       cv_done.wait(lock, [&] { return pending == 0; });
       job_task = nullptr;
-      job_bounds = nullptr;
     }
     // Rethrow the lowest-slot failure so the surfaced error is
     // deterministic.
@@ -204,17 +174,7 @@ void ThreadPoolExecutor::parallel_for(size_t n, const Task& task) {
   // a caller's Exclusive scope on the same thread).
   const Exclusive scope(*this);
   if (n == 0) return;
-  impl_->run_job(this, n, std::min(threads_, n), nullptr, task);
-}
-
-void ThreadPoolExecutor::parallel_for_chunks(std::span<const size_t> bounds,
-                                             const Task& task) {
-  require_not_active(this);
-  const Exclusive scope(*this);
-  check_bounds(bounds, threads_);
-  const size_t n = bounds.back();
-  if (n == 0) return;
-  impl_->run_job(this, n, bounds.size() - 1, bounds.data(), task);
+  impl_->run_job(this, n, std::min(threads_, n), task);
 }
 
 // --- helpers ----------------------------------------------------------------
@@ -229,57 +189,6 @@ std::shared_ptr<Executor> make_executor(size_t threads) {
   const size_t t = effective_threads(threads);
   if (t <= 1) return std::make_shared<SerialExecutor>();
   return std::make_shared<ThreadPoolExecutor>(t);
-}
-
-std::vector<size_t> cost_chunks(std::span<const uint64_t> costs,
-                                size_t slots) {
-  const size_t n = costs.size();
-  slots = std::max<size_t>(1, std::min(slots, std::max<size_t>(n, 1)));
-  std::vector<size_t> bounds(slots + 1, 0);
-  bounds[slots] = n;
-  uint64_t total = 0;
-  for (const uint64_t c : costs) total += c;
-  if (total == 0) {
-    // No cost signal: fall back to parallel_for's uniform chunks.
-    for (size_t w = 1; w < slots; ++w) bounds[w] = w * n / slots;
-    return bounds;
-  }
-  // Boundary w lands where the prefix sum first reaches total * w / slots.
-  // The walk is monotone, so the whole partition costs one pass.
-  size_t idx = 0;
-  uint64_t cum = 0;
-  for (size_t w = 1; w < slots; ++w) {
-    const uint64_t target = total * w / slots;
-    while (idx < n && cum < target) cum += costs[idx++];
-    bounds[w] = idx;
-  }
-  return bounds;
-}
-
-void parallel_for_costed(Executor& ex, std::span<const uint64_t> costs,
-                         const Executor::Task& task) {
-  if (ex.concurrency() <= 1) {
-    run_maybe_parallel(ex, costs.size(), SIZE_MAX, task);
-    return;
-  }
-  const std::vector<size_t> bounds = cost_chunks(costs, ex.concurrency());
-  ex.parallel_for_chunks(bounds, task);
-}
-
-void run_maybe_parallel(Executor& ex, size_t n, size_t min_parallel,
-                        const Executor::Task& task) {
-  if (ex.concurrency() > 1 && n >= min_parallel) {
-    ex.parallel_for(n, task);
-    return;
-  }
-  require_not_active(&ex);
-  const Executor::Exclusive scope(ex);
-  // The inline path is a region too: nested submission on this executor
-  // must throw, exactly as parallel_for promises, instead of re-entering
-  // workspace slot 0 mid-iteration.
-  const ActiveRegion region(&ex);
-  Workspace& ws = ex.workspace(0);
-  for (size_t i = 0; i < n; ++i) task(i, ws);
 }
 
 }  // namespace hssta::exec

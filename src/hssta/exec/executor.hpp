@@ -33,11 +33,9 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "hssta/exec/workspace.hpp"
@@ -74,17 +72,6 @@ class Executor {
   /// Run task(i, ws) for every i in [0, n); blocks until all complete.
   virtual void parallel_for(size_t n, const Task& task) = 0;
 
-  /// parallel_for with caller-provided contiguous chunk boundaries:
-  /// worker slot w of bounds.size()-1 handles [bounds[w], bounds[w+1]),
-  /// n = bounds.back(). bounds must be nondecreasing, start at 0 and name
-  /// at most concurrency() slots. Generalizes parallel_for's uniform
-  /// chunks so callers can balance by per-item *cost* (see cost_chunks):
-  /// one heavy multi-fanin vertex no longer straggles a whole level. The
-  /// slot -> index mapping stays deterministic, and because library tasks
-  /// are per-index independent, the chunking never changes a result bit.
-  virtual void parallel_for_chunks(std::span<const size_t> bounds,
-                                   const Task& task) = 0;
-
   /// Worker arenas, indexed by worker slot (slot 0 is the calling thread).
   /// Valid between regions: callers reset per-region accumulators before a
   /// parallel_for and merge them afterwards — holding an Exclusive for the
@@ -103,8 +90,6 @@ class SerialExecutor final : public Executor {
  public:
   [[nodiscard]] size_t concurrency() const override { return 1; }
   void parallel_for(size_t n, const Task& task) override;
-  void parallel_for_chunks(std::span<const size_t> bounds,
-                           const Task& task) override;
   [[nodiscard]] size_t num_workspaces() const override { return 1; }
   [[nodiscard]] Workspace& workspace(size_t slot) override;
 
@@ -125,8 +110,6 @@ class ThreadPoolExecutor final : public Executor {
 
   [[nodiscard]] size_t concurrency() const override { return threads_; }
   void parallel_for(size_t n, const Task& task) override;
-  void parallel_for_chunks(std::span<const size_t> bounds,
-                           const Task& task) override;
   [[nodiscard]] size_t num_workspaces() const override { return threads_; }
   [[nodiscard]] Workspace& workspace(size_t slot) override;
 
@@ -143,35 +126,5 @@ class ThreadPoolExecutor final : public Executor {
 /// SerialExecutor for threads <= 1, ThreadPoolExecutor otherwise (after
 /// effective_threads resolution).
 [[nodiscard]] std::shared_ptr<Executor> make_executor(size_t threads = 0);
-
-/// parallel_for with an inline fast path: when `n < min_parallel` (or the
-/// executor is serial anyway) the loop runs directly on the calling thread
-/// against workspace slot 0, skipping the region wake-up/barrier. The
-/// level-synchronous sweeps issue one region per topological level; most
-/// levels of a real circuit are far too small to pay a pool round-trip, and
-/// because library tasks only combine per-worker state with order-
-/// insensitive merges, collapsing all of them onto slot 0 changes no result
-/// bit. Callers sharing the executor across threads must hold an
-/// Executor::Exclusive around the surrounding reset/region/merge sequence,
-/// exactly as for parallel_for itself.
-void run_maybe_parallel(Executor& ex, size_t n, size_t min_parallel,
-                        const Executor::Task& task);
-
-/// Contiguous chunk boundaries balancing `costs` over at most `slots`
-/// chunks: boundary w lands where the cost prefix sum first reaches
-/// total * w / slots, so every chunk carries about the same total cost
-/// (empty chunks are legal when one item dominates). All-zero costs fall
-/// back to uniform item-count chunks. Returns bounds.size() == min(slots,
-/// costs.size()) + 1 entries suitable for parallel_for_chunks.
-[[nodiscard]] std::vector<size_t> cost_chunks(std::span<const uint64_t> costs,
-                                              size_t slots);
-
-/// Fan [0, costs.size()) out across `ex` with chunk boundaries balanced by
-/// per-item cost (cost_chunks over the executor's concurrency). The
-/// cost-aware twin of parallel_for; callers sharing the executor across
-/// threads hold an Executor::Exclusive around the surrounding sequence,
-/// exactly as for parallel_for.
-void parallel_for_costed(Executor& ex, std::span<const uint64_t> costs,
-                         const Executor::Task& task);
 
 }  // namespace hssta::exec

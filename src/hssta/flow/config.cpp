@@ -143,18 +143,7 @@ void Config::set(const std::string& key, const std::string& value) {
     mc.seed = parse_cnt(key, value);
   else if (key == "threads" || key == "exec.threads")
     threads = parse_cnt(key, value);
-  else if (key == "level_parallel" || key == "exec.level_parallel") {
-    if (value == "auto")
-      level_parallel = timing::LevelParallel::kAuto;
-    else if (value == "on")
-      level_parallel = timing::LevelParallel::kOn;
-    else if (value == "off")
-      level_parallel = timing::LevelParallel::kOff;
-    else
-      throw Error(
-          "config: level_parallel must be 'auto', 'on' or 'off', got: " +
-          value);
-  } else if (key == "cache.dir")
+  else if (key == "cache.dir")
     cache.dir = value;
   else if (key == "cache.enabled")
     cache.enabled = parse_bool(key, value);

@@ -127,13 +127,10 @@ struct Config {
   /// extraction / criticality, all-pairs IO delays, Monte Carlo batches and
   /// per-instance design analysis — without changing any result bit.
   size_t threads = default_threads();
-  /// Whether sweeps parallelize *within* one propagation, fanning each
-  /// topological level's vertices across the executor, instead of across
-  /// outer work units ([exec] level_parallel, or the bare key
-  /// "level_parallel"; values auto / on / off). auto level-parallelizes
-  /// when the outer fan-out cannot occupy the executor and the graph is
-  /// wide enough — the win case is few-input modules, where the per-input
-  /// fan-out has nothing to fan out. Never changes any result bit.
+  /// Unused, and not a config key: every sweep has one schedule. The field
+  /// stays only because perfbench/src/characterize.cpp assigns it to
+  /// core::CriticalityOptions::level_parallel; the next benchmark change
+  /// deletes that line, this field and the CriticalityOptions one.
   timing::LevelParallel level_parallel = timing::LevelParallel::kAuto;
   /// Persistent .hstm model cache ([cache] dir, enabled; dir defaults to
   /// HSSTA_CACHE_DIR). Purely a speed knob: a hit loads a byte-identical
@@ -162,7 +159,7 @@ struct Config {
 /// correlation, grid bound, module PCA truncation and graph construction.
 /// Excluded by design: extract options (hashed separately per extraction
 /// via model::fingerprint), hier/mc options (downstream of the model) and
-/// the speed knobs threads / level_parallel / cache (bit-identical
+/// the speed knobs threads / cache (bit-identical
 /// results). One third of the model cache key, next to the netlist and
 /// library fingerprints.
 [[nodiscard]] uint64_t extraction_fingerprint(const Config& cfg);

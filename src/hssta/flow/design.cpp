@@ -317,8 +317,7 @@ incr::DesignState& Design::incremental() const {
   in.connections = connections_;
   in.primary_inputs = inputs_;
   in.primary_outputs = outputs_;
-  (void)executor();  // materialize exec_
-  incr_.emplace(std::move(in), cfg_.hier, exec_, cfg_.level_parallel);
+  incr_.emplace(std::move(in), cfg_.hier);
   (void)incr_->analyze();
   return *incr_;
 }

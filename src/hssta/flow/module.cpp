@@ -121,9 +121,7 @@ struct Module::State {
   }
 
   const core::SstaResult& ensure_ssta() {
-    if (!ssta)
-      ssta = core::run_ssta(ensure_built().graph, executor(),
-                            cfg.level_parallel);
+    if (!ssta) ssta = core::run_ssta(ensure_built().graph);
     return *ssta;
   }
 
@@ -133,8 +131,7 @@ struct Module::State {
       it = slack
                .emplace(required_at_outputs,
                         core::compute_slack(ensure_built().graph,
-                                            required_at_outputs, executor(),
-                                            cfg.level_parallel))
+                                            required_at_outputs))
                .first;
     return it->second;
   }
@@ -235,23 +232,18 @@ Module Module::from_netlist(netlist::Netlist nl, Config cfg,
 
 Module Module::from_file(const std::string& path, Config cfg,
                          std::shared_ptr<const library::CellLibrary> lib) {
-  switch (const FileFormat fmt = detect_file_format(path)) {
-    case FileFormat::kBench:
-      return from_bench_file(path, std::move(cfg), std::move(lib));
-    case FileFormat::kBlif:
-      return from_blif_file(path, std::move(cfg), std::move(lib));
-    default:
-      throw Error("cannot load a module from " + path + ": content detected "
-                  "as " + format_name(fmt) + "; supported netlist formats "
-                  "are ISCAS .bench and BLIF");
-  }
-}
-
-Module Module::from_bench_file(
-    const std::string& path, Config cfg,
-    std::shared_ptr<const library::CellLibrary> lib) {
+  const FileFormat fmt = detect_file_format(path);
+  if (fmt != FileFormat::kBench && fmt != FileFormat::kBlif)
+    throw Error("cannot load a module from " + path + ": content detected "
+                "as " + format_name(fmt) + "; supported netlist formats "
+                "are ISCAS .bench and BLIF");
   if (!lib) lib = frontend_library(cfg);
-  netlist::Netlist nl = netlist::read_bench_file(path, *lib);
+  netlist::Netlist nl = [&] {
+    if (fmt == FileFormat::kBench) return netlist::read_bench_file(path, *lib);
+    frontend::BlifOptions opts;
+    opts.model = cfg.frontend.blif_model;
+    return frontend::read_blif_file(path, *lib, opts);
+  }();
   return from_netlist(std::move(nl), std::move(cfg), std::move(lib));
 }
 
@@ -260,16 +252,6 @@ Module Module::from_bench_string(
     std::shared_ptr<const library::CellLibrary> lib) {
   if (!lib) lib = frontend_library(cfg);
   netlist::Netlist nl = netlist::read_bench_string(text, *lib);
-  return from_netlist(std::move(nl), std::move(cfg), std::move(lib));
-}
-
-Module Module::from_blif_file(
-    const std::string& path, Config cfg,
-    std::shared_ptr<const library::CellLibrary> lib) {
-  if (!lib) lib = frontend_library(cfg);
-  frontend::BlifOptions opts;
-  opts.model = cfg.frontend.blif_model;
-  netlist::Netlist nl = frontend::read_blif_file(path, *lib, opts);
   return from_netlist(std::move(nl), std::move(cfg), std::move(lib));
 }
 
@@ -373,12 +355,7 @@ const std::vector<core::CriticalPath>& Module::critical_paths(size_t k) const {
 }
 
 const model::Extraction& Module::extract_model() const {
-  // The config-wide level_parallel knob rides along into the criticality
-  // step; it is not part of the extraction cache key (results are
-  // bit-identical either way).
-  model::ExtractOptions opts = state_->cfg.extract;
-  opts.level_parallel = state_->cfg.level_parallel;
-  return extract_model(opts);
+  return extract_model(state_->cfg.extract);
 }
 
 const model::Extraction& Module::extract_model(

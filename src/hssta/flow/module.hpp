@@ -5,7 +5,7 @@
 /// cell library, netlist, placement, variation model, canonical timing
 /// graph — and exposes the analyses as lazily computed, cached stages:
 ///
-///   flow::Module m = flow::Module::from_bench_file("c432.bench");
+///   flow::Module m = flow::Module::from_file("c432.bench");
 ///   m.delay();                 // block-based SSTA (paper Section II)
 ///   m.critical_paths(5);       // statistical path report
 ///   m.extract_model();         // gray-box model (Sections III-IV)
@@ -84,21 +84,15 @@ class Module {
       std::shared_ptr<const library::CellLibrary> lib = nullptr);
   /// Load a netlist file by *content* (detect.hpp): .bench and BLIF are
   /// accepted; anything else throws an Error naming both the detected
-  /// format and the supported ones.
+  /// format and the supported ones. For BLIF, cfg.frontend.blif_model
+  /// selects the top model of a multi-model file (empty = first model).
   [[nodiscard]] static Module from_file(
-      const std::string& path, Config cfg = {},
-      std::shared_ptr<const library::CellLibrary> lib = nullptr);
-  [[nodiscard]] static Module from_bench_file(
       const std::string& path, Config cfg = {},
       std::shared_ptr<const library::CellLibrary> lib = nullptr);
   [[nodiscard]] static Module from_bench_string(
       const std::string& text, Config cfg = {},
       std::shared_ptr<const library::CellLibrary> lib = nullptr);
-  /// BLIF input; cfg.frontend.blif_model selects the top model of a
-  /// multi-model file (empty = first model).
-  [[nodiscard]] static Module from_blif_file(
-      const std::string& path, Config cfg = {},
-      std::shared_ptr<const library::CellLibrary> lib = nullptr);
+  /// BLIF text; cfg.frontend.blif_model as for from_file.
   [[nodiscard]] static Module from_blif_string(
       const std::string& text, Config cfg = {},
       std::shared_ptr<const library::CellLibrary> lib = nullptr);

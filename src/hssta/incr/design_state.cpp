@@ -16,14 +16,6 @@ using timing::VertexId;
 
 namespace {
 
-/// Scratch of the cone sweep (one per worker slot): the fold candidate and
-/// the recomputed arrival, recycled across vertices so a sweep allocates
-/// nothing after warm-up.
-struct ConeScratch {
-  CanonicalForm candidate;
-  CanonicalForm result;
-};
-
 /// Can `next` replace `prev` for instance `t` without invalidating the
 /// stitched coefficient layout? Requires an identical footprint: same die,
 /// same characterization grid partition, bitwise-identical parameters and
@@ -72,13 +64,8 @@ bool geometry_compatible(const model::TimingModel& prev,
 
 }  // namespace
 
-DesignState::DesignState(DesignInputs inputs, hier::HierOptions opts,
-                         std::shared_ptr<exec::Executor> ex,
-                         timing::LevelParallel mode)
-    : inputs_(std::move(inputs)),
-      opts_(std::move(opts)),
-      exec_(ex ? std::move(ex) : std::make_shared<exec::SerialExecutor>()),
-      mode_(mode) {
+DesignState::DesignState(DesignInputs inputs, hier::HierOptions opts)
+    : inputs_(std::move(inputs)), opts_(std::move(opts)) {
   HSSTA_REQUIRE(!inputs_.instances.empty(),
                 "incremental design '" + inputs_.name + "' has no instances");
   for (const InstanceSpec& inst : inputs_.instances)
@@ -86,11 +73,6 @@ DesignState::DesignState(DesignInputs inputs, hier::HierOptions opts,
                   "instance '" + inst.name + "' has no timing model");
   inst_dirty_.assign(inputs_.instances.size(), 0);
   conn_dirty_.assign(inputs_.connections.size(), 0);
-}
-
-void DesignState::set_executor(std::shared_ptr<exec::Executor> ex) {
-  HSSTA_REQUIRE(ex != nullptr, "set_executor: null executor");
-  exec_ = std::move(ex);
 }
 
 size_t DesignState::num_params() const {
@@ -364,14 +346,13 @@ void DesignState::restitch_connection(const hier::HierDesign& view, size_t c,
 // --- propagation ------------------------------------------------------------
 
 void DesignState::propagate_full() {
-  timing::propagate_arrivals_into(st_->graph, {}, arrivals_, *exec_, mode_);
+  timing::propagate_arrivals_into(st_->graph, {}, arrivals_);
   stats_.vertices_recomputed = st_->graph.num_live_vertices();
 }
 
 void DesignState::propagate_cone(const std::vector<VertexId>& seeds) {
   TimingGraph& g = st_->graph;
   const size_t slots = g.num_vertex_slots();
-  const CanonicalForm zero(st_->total_dim);
   // Grow the arrival bank for freshly stitched vertex slots (new rows are
   // zero forms); stale entries of dead slots are never read.
   if (arrivals_.time.dim() != st_->total_dim)
@@ -385,60 +366,30 @@ void DesignState::propagate_cone(const std::vector<VertexId>& seeds) {
   for (VertexId v : seeds)
     if (g.vertex_alive(v) && !g.vertex(v).is_input) dirty[v] = 1;
 
-  const std::shared_ptr<const timing::LevelStructure> ls = g.levels();
-  exec::Executor& ex = *exec_;
-  const exec::Executor::Exclusive scope(ex);
-  std::vector<uint8_t> changed(slots, 0);
-  std::vector<VertexId> work;
+  // Walk the levelization and recompute each dirty vertex's arrival from
+  // its (stable, lower-level) fanins with the full sweep's fold. Dirty
+  // vertices are never sources, and the cone keeps no max diagnostics. A
+  // bit-identical recomputation stops the cone; only genuinely changed
+  // vertices dirty their (strictly higher-level, so later) fanouts.
+  const CanonicalForm zero(st_->total_dim);
+  CanonicalForm candidate = zero;
+  CanonicalForm next = zero;
   size_t recomputed = 0;
-
-  for (size_t l = 0; l < ls->num_levels(); ++l) {
-    work.clear();
-    for (VertexId v : ls->bucket(l))
-      if (dirty[v]) work.push_back(v);
-    if (work.empty()) continue;
-    recomputed += work.size();
-
-    // Recompute each dirty vertex's arrival from its (stable, lower-level)
-    // fanins with exactly the fold of timing::relax_fanin; each task
-    // writes only its own slot, so a level fans out race-free.
-    exec::run_maybe_parallel(
-        ex, work.size(), timing::kMinLevelFanOut,
-        [&](size_t k, exec::Workspace& ws) {
-          const VertexId v = work[k];
-          ConeScratch& sc = ws.get<ConeScratch>();
-          CanonicalForm& nt = sc.result;
-          nt = zero;
-          if (sc.candidate.dim() != zero.dim()) sc.candidate = zero;
-          const timing::FormView cand = sc.candidate.view();
-          bool has = false;  // dirty vertices are never sources
-          for (EdgeId e : g.vertex(v).fanin) {
-            const timing::TimingEdge& te = g.edge(e);
-            if (!arrivals_.valid[te.from]) continue;
-            timing::add_into(cand, arrivals_.time.row(te.from),
-                             te.delay.view());
-            if (!has) {
-              timing::form_copy(nt.view(), cand);
-              has = true;
-            } else {
-              timing::statistical_max_into(nt.view(), nt.view(), cand);
-            }
-          }
-          const uint8_t nv = has ? 1 : 0;
-          changed[v] =
-              nv != arrivals_.valid[v] ||
-              (nv != 0 &&
-               !timing::form_equal(nt.view(), arrivals_.time.row(v)));
-          arrivals_.time.store(v, nt);
-          arrivals_.valid[v] = nv;
-        });
-
-    // A bit-identical recomputation stops the cone; only genuinely changed
-    // vertices dirty their (strictly higher-level) fanouts.
-    for (VertexId v : work) {
-      if (!changed[v]) continue;
-      for (EdgeId e : g.vertex(v).fanout) dirty[g.edge(e).to] = 1;
-    }
+  for (VertexId v : g.levels()->order) {
+    if (!dirty[v]) continue;
+    ++recomputed;
+    const bool has = timing::fold_fanin(g, v, arrivals_, next.view(),
+                                        candidate.view(), /*seeded=*/false,
+                                        /*diag=*/nullptr);
+    if (!has) next = zero;  // an unreached vertex keeps a zero row
+    const uint8_t nv = has ? 1 : 0;
+    const bool changed =
+        nv != arrivals_.valid[v] ||
+        (has && !timing::form_equal(next.view(), arrivals_.time.row(v)));
+    arrivals_.time.store(v, next);
+    arrivals_.valid[v] = nv;
+    if (!changed) continue;
+    for (EdgeId e : g.vertex(v).fanout) dirty[g.edge(e).to] = 1;
   }
   stats_.vertices_recomputed = recomputed;
 }

@@ -34,11 +34,12 @@
 ///
 /// Contract: after any sequence of changes, analyze() returns results
 /// bit-identical to a from-scratch flow::Design / analyze_hierarchical run
-/// of the changed design, at every thread count (pinned by the
-/// IncrementalDifferential fuzz suite). The downstream-of-dirty sweep
-/// recomputes a vertex's arrival from its fanins with exactly the
-/// arithmetic of the full sweep and stops propagating wherever the
-/// recomputed form compares bit-equal to the stored one.
+/// of the changed design, at every thread count of that run (pinned by the
+/// IncrementalDifferential fuzz suite). Both sweeps are serial. The
+/// downstream-of-dirty sweep recomputes a vertex's arrival from its fanins
+/// with timing::fold_fanin, the fold of the full sweep, and stops
+/// propagating wherever the recomputed form compares bit-equal to the
+/// stored one.
 ///
 /// A DesignState is copyable; incr::ScenarioRunner clones the analyzed
 /// base per scenario so batched what-ifs share the clean prefix state.
@@ -53,7 +54,6 @@
 #include <string>
 #include <vector>
 
-#include "hssta/exec/executor.hpp"
 #include "hssta/hier/design.hpp"
 #include "hssta/hier/stitch.hpp"
 #include "hssta/model/timing_model.hpp"
@@ -97,11 +97,7 @@ struct IncrementalStats {
 
 class DesignState {
  public:
-  /// `ex` null picks a serial executor. `mode` governs whether full
-  /// re-propagations fan each level across the executor (speed knob only).
-  explicit DesignState(DesignInputs inputs, hier::HierOptions opts = {},
-                       std::shared_ptr<exec::Executor> ex = nullptr,
-                       timing::LevelParallel mode = timing::LevelParallel::kAuto);
+  explicit DesignState(DesignInputs inputs, hier::HierOptions opts = {});
 
   /// --- change API (cheap: records dirty state; analyze() recomputes) ----
 
@@ -146,10 +142,6 @@ class DesignState {
   [[nodiscard]] const hier::HierOptions& options() const { return opts_; }
   [[nodiscard]] const IncrementalStats& stats() const { return stats_; }
 
-  /// Rebind the executor (speed knob only; results never depend on it).
-  /// ScenarioRunner gives every clone a serial executor of its own.
-  void set_executor(std::shared_ptr<exec::Executor> ex);
-
   /// --- serialization (incr/serialize.cpp) --------------------------------
   ///
   /// Versioned text format ("hsds 1"), same idioms as the .hstm serializer:
@@ -162,12 +154,8 @@ class DesignState {
   /// are bit-identical to the saved state's analyze() at any thread count.
   void save(std::ostream& os) const;
   void save_file(const std::string& path) const;
-  [[nodiscard]] static DesignState load(
-      std::istream& is, std::shared_ptr<exec::Executor> ex = nullptr,
-      timing::LevelParallel mode = timing::LevelParallel::kAuto);
-  [[nodiscard]] static DesignState load_file(
-      const std::string& path, std::shared_ptr<exec::Executor> ex = nullptr,
-      timing::LevelParallel mode = timing::LevelParallel::kAuto);
+  [[nodiscard]] static DesignState load(std::istream& is);
+  [[nodiscard]] static DesignState load_file(const std::string& path);
 
  private:
   /// The hier:: view of the current inputs (models referenced, not owned).
@@ -189,8 +177,6 @@ class DesignState {
 
   DesignInputs inputs_;
   hier::HierOptions opts_;
-  std::shared_ptr<exec::Executor> exec_;
-  timing::LevelParallel mode_ = timing::LevelParallel::kAuto;
 
   /// --- derived state -----------------------------------------------------
   std::optional<hier::StitchedDesign> st_;

@@ -112,9 +112,9 @@ std::vector<ScenarioResult> ScenarioRunner::run(
     std::span<const Scenario> scenarios, exec::Executor& ex) const {
   std::vector<ScenarioResult> out(scenarios.size());
   if (scenarios.empty()) return out;
-  // Each slot writes only its own result; per-scenario analysis runs on a
-  // private serial executor, so the fan-out never nests regions and the
-  // results do not depend on the runner's thread count.
+  // Each slot writes only its own result; per-scenario analysis is serial,
+  // so the fan-out never nests regions and the results do not depend on
+  // the runner's thread count.
   const exec::Executor::Exclusive scope(ex);
   ex.parallel_for(scenarios.size(), [&](size_t i, exec::Workspace&) {
     const Scenario& sc = scenarios[i];
@@ -126,7 +126,6 @@ std::vector<ScenarioResult> ScenarioRunner::run(
     WallTimer timer;
     try {
       DesignState state(*base_);  // shares the clean prefix by copy
-      state.set_executor(std::make_shared<exec::SerialExecutor>());
       for (const Change& c : sc.changes) apply_change(state, c);
       r.delay = state.analyze();
       r.stats = state.stats();

@@ -7,9 +7,9 @@
 /// — sharing the clean prefix: stitched graph, provenance, design space
 /// and arrival state all copy, none of it recomputes — applies the changes
 /// incrementally, and fans the scenarios out across an executor. Each
-/// clone analyzes on a private serial executor (executor regions do not
-/// nest), so results are bit-identical at every runner thread count, and
-/// bit-identical to a from-scratch analysis of each changed design.
+/// clone analyzes serially inside its work item, so results are
+/// bit-identical at every runner thread count, and bit-identical to a
+/// from-scratch analysis of each changed design.
 ///
 /// A scenario that fails (invalid rewire, off-die move, ...) reports its
 /// error instead of poisoning the batch.
@@ -21,6 +21,7 @@
 #include <variant>
 #include <vector>
 
+#include "hssta/exec/executor.hpp"
 #include "hssta/incr/design_state.hpp"
 
 namespace hssta::incr {

@@ -1,16 +1,14 @@
 // incr/serialize.cpp — versioned persistence for incr::DesignState.
 //
-// Format "hsds 1": the same line/keyword text idioms as the .hstm model
-// serializer (hex-float doubles for bit-exact round trips, strict counts
-// via util::parse_count, named truncation errors, trailing content after
-// 'end' rejected). Models are embedded length-prefixed — TimingModel::load
-// consumes a whole stream and rejects trailing content, so each model's
-// bytes are framed exactly and parsed from a private substream — and
-// deduplicated by pointer, so the common many-instances-of-one-IP design
-// stores each model once.
+// Format "hsds 1": the line/keyword text idioms of the .hstm model
+// serializer, read through the same util::TokenReader (hex-float doubles
+// for bit-exact round trips, strict counts, named truncation errors,
+// trailing content after 'end' rejected). Models are embedded
+// length-prefixed — TimingModel::load consumes a whole stream and rejects
+// trailing content, so each model's bytes are framed exactly and parsed
+// from a private substream — and deduplicated by pointer, so the common
+// many-instances-of-one-IP design stores each model once.
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -19,46 +17,13 @@
 #include "hssta/incr/design_state.hpp"
 #include "hssta/util/error.hpp"
 #include "hssta/util/hash.hpp"
-#include "hssta/util/strings.hpp"
+#include "hssta/util/token_reader.hpp"
 
 namespace hssta::incr {
 
+using util::hexf;
+
 namespace {
-
-/// Hex-float formatting for bit-exact round trips (same as the .hstm
-/// serializer).
-std::string hexf(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-double parse_double(const std::string& tok) {
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  HSSTA_REQUIRE(end && *end == '\0',
-                "malformed number in design state file: " + tok);
-  return v;
-}
-
-std::string checked_token(std::istream& is, const char* what) {
-  std::string tok;
-  if (!(is >> tok))
-    throw Error(std::string("design state file truncated at ") + what);
-  return tok;
-}
-
-void expect_keyword(std::istream& is, const std::string& kw) {
-  const std::string tok = checked_token(is, kw.c_str());
-  HSSTA_REQUIRE(tok == kw, "design state file: expected '" + kw + "', got '" +
-                               tok + "'");
-}
-
-size_t parse_size(std::istream& is, const char* what) {
-  return static_cast<size_t>(
-      parse_count(std::string("design state file field '") + what + "'",
-                  checked_token(is, what)));
-}
 
 void check_name(const std::string& name, const char* what) {
   HSSTA_REQUIRE(!name.empty(), std::string(what) + " name is empty");
@@ -160,32 +125,31 @@ void DesignState::save_file(const std::string& path) const {
   if (!os) throw Error("write to design state file failed: " + path);
 }
 
-DesignState DesignState::load(std::istream& is,
-                              std::shared_ptr<exec::Executor> ex,
-                              timing::LevelParallel mode) {
-  expect_keyword(is, "hsds");
-  const std::string version = checked_token(is, "version");
+DesignState DesignState::load(std::istream& is) {
+  util::TokenReader in(is, "design state file");
+  in.keyword("hsds");
+  const std::string version = in.token("version");
   HSSTA_REQUIRE(version == "1",
                 "unsupported design state format version " + version);
 
   DesignInputs inputs;
-  expect_keyword(is, "design");
-  inputs.name = checked_token(is, "design name");
+  in.keyword("design");
+  inputs.name = in.token("design name");
 
-  expect_keyword(is, "die");
-  const std::string die_kind = checked_token(is, "die kind");
+  in.keyword("die");
+  const std::string die_kind = in.token("die kind");
   if (die_kind == "fixed") {
     placement::Die die;
-    die.width = parse_double(checked_token(is, "die width"));
-    die.height = parse_double(checked_token(is, "die height"));
+    die.width = in.number("die width");
+    die.height = in.number("die height");
     inputs.fixed_die = die;
   } else {
     HSSTA_REQUIRE(die_kind == "auto", "bad die kind: " + die_kind);
   }
 
   hier::HierOptions opts;
-  expect_keyword(is, "mode");
-  const std::string mode_tok = checked_token(is, "mode");
+  in.keyword("mode");
+  const std::string mode_tok = in.token("mode");
   if (mode_tok == "replacement")
     opts.mode = hier::CorrelationMode::kReplacement;
   else if (mode_tok == "global_only")
@@ -193,34 +157,34 @@ DesignState DesignState::load(std::istream& is,
   else
     throw Error("bad correlation mode in design state file: " + mode_tok);
 
-  expect_keyword(is, "load_aware");
-  const std::string la = checked_token(is, "load_aware");
+  in.keyword("load_aware");
+  const std::string la = in.token("load_aware");
   HSSTA_REQUIRE(la == "0" || la == "1", "bad load_aware flag: " + la);
   opts.load_aware_boundary = la == "1";
 
-  expect_keyword(is, "interconnect");
-  opts.interconnect_delay = parse_double(checked_token(is, "interconnect"));
+  in.keyword("interconnect");
+  opts.interconnect_delay = in.number("interconnect");
 
-  expect_keyword(is, "pca");
-  opts.pca.min_explained = parse_double(checked_token(is, "pca explained"));
-  opts.pca.rel_tol = parse_double(checked_token(is, "pca tolerance"));
-  opts.pca.max_components = parse_size(is, "pca max components");
+  in.keyword("pca");
+  opts.pca.min_explained = in.number("pca explained");
+  opts.pca.rel_tol = in.number("pca tolerance");
+  opts.pca.max_components = in.count("pca max components");
 
-  expect_keyword(is, "sigma_scale");
-  const size_t n_scales = parse_size(is, "sigma_scale count");
+  in.keyword("sigma_scale");
+  const size_t n_scales = in.count("sigma_scale count");
   for (size_t k = 0; k < n_scales; ++k)
     opts.param_sigma_scale.push_back(
-        parse_double(checked_token(is, "sigma_scale value")));
+        in.number("sigma_scale value"));
 
-  expect_keyword(is, "models");
-  const size_t n_models = parse_size(is, "models count");
+  in.keyword("models");
+  const size_t n_models = in.count("models count");
   std::vector<std::shared_ptr<const model::TimingModel>> models;
   models.reserve(n_models);
   for (size_t k = 0; k < n_models; ++k) {
-    expect_keyword(is, "model");
-    const size_t idx = parse_size(is, "model index");
+    in.keyword("model");
+    const size_t idx = in.count("model index");
     HSSTA_REQUIRE(idx == k, "design state file: models out of order");
-    const size_t bytes = parse_size(is, "model bytes");
+    const size_t bytes = in.count("model bytes");
     HSSTA_REQUIRE(bytes > 0 && bytes <= kMaxModelBytes,
                   "design state file: implausible model size");
     // The framing is exact: one newline after the count, then the bytes.
@@ -236,61 +200,61 @@ DesignState DesignState::load(std::istream& is,
         model::TimingModel::load(ms)));
   }
 
-  expect_keyword(is, "instances");
-  const size_t n_inst = parse_size(is, "instances count");
+  in.keyword("instances");
+  const size_t n_inst = in.count("instances count");
   for (size_t k = 0; k < n_inst; ++k) {
-    expect_keyword(is, "inst");
+    in.keyword("inst");
     InstanceSpec spec;
-    spec.name = checked_token(is, "instance name");
-    const size_t m = parse_size(is, "instance model");
+    spec.name = in.token("instance name");
+    const size_t m = in.count("instance model");
     HSSTA_REQUIRE(m < models.size(),
                   "design state file: instance model index out of range");
     spec.model = models[m];
-    spec.origin.x = parse_double(checked_token(is, "instance x"));
-    spec.origin.y = parse_double(checked_token(is, "instance y"));
+    spec.origin.x = in.number("instance x");
+    spec.origin.y = in.number("instance y");
     inputs.instances.push_back(std::move(spec));
   }
 
-  expect_keyword(is, "connections");
-  const size_t n_conn = parse_size(is, "connections count");
+  in.keyword("connections");
+  const size_t n_conn = in.count("connections count");
   for (size_t k = 0; k < n_conn; ++k) {
-    expect_keyword(is, "conn");
+    in.keyword("conn");
     hier::Connection c;
-    c.from_output.instance = parse_size(is, "connection from instance");
-    c.from_output.port = parse_size(is, "connection from port");
-    c.to_input.instance = parse_size(is, "connection to instance");
-    c.to_input.port = parse_size(is, "connection to port");
+    c.from_output.instance = in.count("connection from instance");
+    c.from_output.port = in.count("connection from port");
+    c.to_input.instance = in.count("connection to instance");
+    c.to_input.port = in.count("connection to port");
     inputs.connections.push_back(c);
   }
 
-  expect_keyword(is, "pins");
-  const size_t n_pins = parse_size(is, "pins count");
+  in.keyword("pins");
+  const size_t n_pins = in.count("pins count");
   for (size_t k = 0; k < n_pins; ++k) {
-    expect_keyword(is, "pin");
+    in.keyword("pin");
     hier::PrimaryInput pi;
-    pi.name = checked_token(is, "pin name");
-    const size_t n_sinks = parse_size(is, "pin sinks");
+    pi.name = in.token("pin name");
+    const size_t n_sinks = in.count("pin sinks");
     for (size_t s = 0; s < n_sinks; ++s) {
       hier::PortRef ref;
-      ref.instance = parse_size(is, "pin sink instance");
-      ref.port = parse_size(is, "pin sink port");
+      ref.instance = in.count("pin sink instance");
+      ref.port = in.count("pin sink port");
       pi.sinks.push_back(ref);
     }
     inputs.primary_inputs.push_back(std::move(pi));
   }
 
-  expect_keyword(is, "pouts");
-  const size_t n_pouts = parse_size(is, "pouts count");
+  in.keyword("pouts");
+  const size_t n_pouts = in.count("pouts count");
   for (size_t k = 0; k < n_pouts; ++k) {
-    expect_keyword(is, "pout");
+    in.keyword("pout");
     hier::PrimaryOutput po;
-    po.name = checked_token(is, "pout name");
-    po.source.instance = parse_size(is, "pout instance");
-    po.source.port = parse_size(is, "pout port");
+    po.name = in.token("pout name");
+    po.source.instance = in.count("pout instance");
+    po.source.port = in.count("pout port");
     inputs.primary_outputs.push_back(std::move(po));
   }
 
-  expect_keyword(is, "end");
+  in.keyword("end");
   std::string extra;
   if (is >> extra)
     throw Error("design state file: trailing content after 'end': '" + extra +
@@ -298,15 +262,13 @@ DesignState DesignState::load(std::istream& is,
 
   // Structural validity (ports in range, every input driven once, ...) is
   // checked by the first analyze(), exactly like a freshly assembled state.
-  return DesignState(std::move(inputs), std::move(opts), std::move(ex), mode);
+  return DesignState(std::move(inputs), std::move(opts));
 }
 
-DesignState DesignState::load_file(const std::string& path,
-                                   std::shared_ptr<exec::Executor> ex,
-                                   timing::LevelParallel mode) {
+DesignState DesignState::load_file(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw Error("cannot open design state file: " + path);
-  return load(is, std::move(ex), mode);
+  return load(is);
 }
 
 uint64_t model_fingerprint(const model::TimingModel& m) {

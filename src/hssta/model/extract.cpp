@@ -102,12 +102,8 @@ Extraction extract_timing_model(const timing::BuiltGraph& built,
   stats.original_edges = original.num_live_edges();
 
   // Step 1 (paper Fig. 3): maximum criticality per edge — the dominant
-  // cost, parallelized across the executor per input port or (for
-  // input-poor graphs) level-synchronously within each pass.
-  core::CriticalityOptions copts;
-  copts.level_parallel = opts.level_parallel;
-  const core::CriticalityResult crit =
-      core::compute_criticality(original, ex, copts);
+  // cost, parallelized across the executor per input port.
+  const core::CriticalityResult crit = core::compute_criticality(original, ex);
   stats.criticalities.reserve(stats.original_edges);
   for (EdgeId e = 0; e < original.num_edge_slots(); ++e)
     if (original.edge_alive(e))

@@ -28,16 +28,12 @@ struct ExtractOptions {
   double criticality_threshold = 0.05;
   /// Restore a path for IO pairs disconnected by pruning.
   bool repair_connectivity = true;
-  /// Parallel schedule of the criticality step (forwarded to
-  /// core::CriticalityOptions). Purely a speed knob — extraction results
-  /// are bit-identical either way, so it takes no part in any cache key.
-  timing::LevelParallel level_parallel = timing::LevelParallel::kAuto;
 };
 
-/// Stable 64-bit fingerprint of the result-affecting extraction options:
-/// criticality_threshold and repair_connectivity. level_parallel is a pure
-/// speed knob (bit-identical results) and deliberately excluded, so cached
-/// models are shared across schedules and thread counts.
+/// Stable 64-bit fingerprint of the extraction options:
+/// criticality_threshold and repair_connectivity. The thread count is not
+/// an option (results are bit-identical at any count), so cached models
+/// are shared across thread counts.
 [[nodiscard]] uint64_t fingerprint(const ExtractOptions& opts);
 
 struct ExtractionStats {

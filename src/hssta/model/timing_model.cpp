@@ -1,13 +1,11 @@
 #include "hssta/model/timing_model.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <unordered_set>
 
 #include "hssta/util/error.hpp"
-#include "hssta/util/strings.hpp"
+#include "hssta/util/token_reader.hpp"
 
 namespace hssta::model {
 
@@ -15,6 +13,7 @@ using timing::CanonicalForm;
 using timing::EdgeId;
 using timing::TimingGraph;
 using timing::VertexId;
+using util::hexf;
 
 BoundaryData compute_boundary(const netlist::Netlist& nl) {
   BoundaryData b;
@@ -118,45 +117,6 @@ void TimingModel::set_sequential(
   registers_ = std::move(registers);
   constraints_ = std::move(constraints);
 }
-
-namespace {
-
-/// Hex-float formatting for bit-exact round trips.
-std::string hexf(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-double parse_double(const std::string& tok) {
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  HSSTA_REQUIRE(end && *end == '\0', "malformed number in model file: " + tok);
-  return v;
-}
-
-std::string checked_token(std::istream& is, const char* what) {
-  std::string tok;
-  if (!(is >> tok)) throw Error(std::string("model file truncated at ") + what);
-  return tok;
-}
-
-void expect_keyword(std::istream& is, const std::string& kw) {
-  const std::string tok = checked_token(is, kw.c_str());
-  HSSTA_REQUIRE(tok == kw, "model file: expected '" + kw + "', got '" + tok +
-                               "'");
-}
-
-/// Strict count parsing (no signs, no trailing garbage, overflow rejected),
-/// shared with every other parser via util::parse_count; `what` names the
-/// field in the error.
-size_t parse_size(std::istream& is, const char* what) {
-  return static_cast<size_t>(
-      parse_count(std::string("model file field '") + what + "'",
-                  checked_token(is, what)));
-}
-
-}  // namespace
 
 void TimingModel::save(std::ostream& os) const {
   const variation::GridPartition& part = variation_.partition;
@@ -263,47 +223,48 @@ void TimingModel::save_file(const std::string& path) const {
 }
 
 TimingModel TimingModel::load(std::istream& is) {
-  expect_keyword(is, "hstm");
-  const std::string version = checked_token(is, "version");
+  util::TokenReader in(is, "model file");
+  in.keyword("hstm");
+  const std::string version = in.token("version");
   HSSTA_REQUIRE(version == "1" || version == "2",
                 "unsupported model format version " + version);
 
-  expect_keyword(is, "name");
-  const std::string name = checked_token(is, "name");
+  in.keyword("name");
+  const std::string name = in.token("name");
 
-  expect_keyword(is, "die");
-  const double w = parse_double(checked_token(is, "die width"));
-  const double h = parse_double(checked_token(is, "die height"));
-  expect_keyword(is, "grid");
-  const size_t nx = parse_size(is, "grid nx");
-  const size_t ny = parse_size(is, "grid ny");
+  in.keyword("die");
+  const double w = in.number("die width");
+  const double h = in.number("die height");
+  in.keyword("grid");
+  const size_t nx = in.count("grid nx");
+  const size_t ny = in.count("grid ny");
   HSSTA_REQUIRE(nx > 0 && ny > 0, "bad grid line in model file");
 
-  expect_keyword(is, "corr");
+  in.keyword("corr");
   variation::SpatialCorrelationConfig corr;
-  corr.rho_neighbor = parse_double(checked_token(is, "rho_neighbor"));
-  corr.rho_global = parse_double(checked_token(is, "rho_global"));
-  corr.cutoff = parse_double(checked_token(is, "cutoff"));
+  corr.rho_neighbor = in.number("rho_neighbor");
+  corr.rho_global = in.number("rho_global");
+  corr.cutoff = in.number("cutoff");
 
-  expect_keyword(is, "load_sigma");
+  in.keyword("load_sigma");
   variation::ParameterSet params;
-  params.load_sigma_rel = parse_double(checked_token(is, "load_sigma"));
-  expect_keyword(is, "params");
-  const size_t n_params = parse_size(is, "params count");
+  params.load_sigma_rel = in.number("load_sigma");
+  in.keyword("params");
+  const size_t n_params = in.count("params count");
   HSSTA_REQUIRE(n_params > 0, "bad params count");
   for (size_t k = 0; k < n_params; ++k) {
-    expect_keyword(is, "param");
+    in.keyword("param");
     variation::ProcessParameter p;
-    p.name = checked_token(is, "param name");
-    p.sigma_rel = parse_double(checked_token(is, "sigma"));
-    p.global_frac = parse_double(checked_token(is, "global frac"));
-    p.local_frac = parse_double(checked_token(is, "local frac"));
-    p.random_frac = parse_double(checked_token(is, "random frac"));
+    p.name = in.token("param name");
+    p.sigma_rel = in.number("sigma");
+    p.global_frac = in.number("global frac");
+    p.local_frac = in.number("local frac");
+    p.random_frac = in.number("random frac");
     params.params.push_back(std::move(p));
   }
 
-  expect_keyword(is, "pca");
-  const size_t retained = parse_size(is, "pca components");
+  in.keyword("pca");
+  const size_t retained = in.count("pca components");
   HSSTA_REQUIRE(retained > 0, "bad pca line");
 
   variation::GridPartition partition(placement::Die{w, h}, nx, ny);
@@ -315,37 +276,37 @@ TimingModel TimingModel::load(std::istream& is) {
                 "model file PCA dimension could not be reproduced");
   variation::ModuleVariation mv{partition, space};
 
-  expect_keyword(is, "ports");
-  const size_t ni = parse_size(is, "ports inputs");
-  const size_t no = parse_size(is, "ports outputs");
+  in.keyword("ports");
+  const size_t ni = in.count("ports inputs");
+  const size_t no = in.count("ports outputs");
   BoundaryData boundary;
   std::vector<std::pair<std::string, bool>> input_ports;  // name, also-output
   std::vector<std::string> output_ports;
   for (size_t i = 0; i < ni; ++i) {
-    expect_keyword(is, "in");
-    input_ports.emplace_back(checked_token(is, "input name"), false);
-    boundary.input_cap.push_back(parse_double(checked_token(is, "input cap")));
+    in.keyword("in");
+    input_ports.emplace_back(in.token("input name"), false);
+    boundary.input_cap.push_back(in.number("input cap"));
   }
   for (size_t j = 0; j < no; ++j) {
-    expect_keyword(is, "out");
-    output_ports.push_back(checked_token(is, "output name"));
+    in.keyword("out");
+    output_ports.push_back(in.token("output name"));
     boundary.output_drive_res.push_back(
-        parse_double(checked_token(is, "output drive")));
+        in.number("output drive"));
   }
 
-  expect_keyword(is, "vertices");
-  const size_t nv = parse_size(is, "vertices count");
+  in.keyword("vertices");
+  const size_t nv = in.count("vertices count");
   TimingGraph graph(space);
   std::vector<VertexId> dense_to_slot;
   // det-ok: membership test only (duplicate-name guard), never iterated.
   std::unordered_set<std::string> vertex_names;
   size_t seen_inputs = 0, seen_outputs = 0;
   for (size_t k = 0; k < nv; ++k) {
-    expect_keyword(is, "v");
-    const std::string vname = checked_token(is, "vertex name");
+    in.keyword("v");
+    const std::string vname = in.token("vertex name");
     HSSTA_REQUIRE(vertex_names.insert(vname).second,
                   "model file: duplicate vertex name '" + vname + "'");
-    const std::string kind = checked_token(is, "vertex kind");
+    const std::string kind = in.token("vertex kind");
     const bool is_in = kind == "i" || kind == "io";
     const bool is_out = kind == "o" || kind == "io";
     HSSTA_REQUIRE(kind == "i" || kind == "o" || kind == "x" || kind == "io",
@@ -367,56 +328,56 @@ TimingModel TimingModel::load(std::istream& is) {
   HSSTA_REQUIRE(seen_inputs == ni && seen_outputs == no,
                 "model file port/vertex mismatch");
 
-  expect_keyword(is, "edges");
-  const size_t ne = parse_size(is, "edges count");
+  in.keyword("edges");
+  const size_t ne = in.count("edges count");
   const size_t dim = space->dim();
   for (size_t k = 0; k < ne; ++k) {
-    expect_keyword(is, "e");
-    const size_t from = parse_size(is, "edge from");
-    const size_t to = parse_size(is, "edge to");
+    in.keyword("e");
+    const size_t from = in.count("edge from");
+    const size_t to = in.count("edge to");
     HSSTA_REQUIRE(from < nv && to < nv, "bad edge endpoints");
     CanonicalForm d(dim);
-    d.set_nominal(parse_double(checked_token(is, "edge nominal")));
-    d.set_random(parse_double(checked_token(is, "edge random")));
+    d.set_nominal(in.number("edge nominal"));
+    d.set_random(in.number("edge random"));
     for (size_t c = 0; c < dim; ++c)
-      d.corr()[c] = parse_double(checked_token(is, "edge coefficient"));
+      d.corr()[c] = in.number("edge coefficient");
     graph.add_edge(dense_to_slot[from], dense_to_slot[to], std::move(d));
   }
 
   // Version 2 appends optional registers/constraints blocks before 'end'.
   std::vector<ModelRegister> registers;
   std::vector<SequentialConstraint> constraints;
-  std::string tok = checked_token(is, "end");
+  std::string tok = in.token("end");
   if (version == "2" && tok == "registers") {
-    const size_t nr = parse_size(is, "registers count");
+    const size_t nr = in.count("registers count");
     for (size_t k = 0; k < nr; ++k) {
-      expect_keyword(is, "r");
+      in.keyword("r");
       ModelRegister r;
-      r.name = checked_token(is, "register name");
-      r.launch = checked_token(is, "register launch");
-      r.capture = checked_token(is, "register capture");
-      r.clock = checked_token(is, "register clock");
+      r.name = in.token("register name");
+      r.launch = in.token("register launch");
+      r.capture = in.token("register capture");
+      r.clock = in.token("register clock");
       if (r.clock == "-") r.clock.clear();
-      r.init = static_cast<int>(parse_size(is, "register init"));
+      r.init = static_cast<int>(in.count("register init"));
       HSSTA_REQUIRE(r.init <= 3, "bad register init value");
       registers.push_back(std::move(r));
     }
-    tok = checked_token(is, "end");
+    tok = in.token("end");
   }
   if (version == "2" && tok == "constraints") {
-    const size_t nc = parse_size(is, "constraints count");
+    const size_t nc = in.count("constraints count");
     for (size_t k = 0; k < nc; ++k) {
-      expect_keyword(is, "c");
-      SequentialConstraint c{checked_token(is, "constraint label"),
+      in.keyword("c");
+      SequentialConstraint c{in.token("constraint label"),
                              CanonicalForm(dim)};
-      c.delay.set_nominal(parse_double(checked_token(is, "constraint nominal")));
-      c.delay.set_random(parse_double(checked_token(is, "constraint random")));
+      c.delay.set_nominal(in.number("constraint nominal"));
+      c.delay.set_random(in.number("constraint random"));
       for (size_t d = 0; d < dim; ++d)
         c.delay.corr()[d] =
-            parse_double(checked_token(is, "constraint coefficient"));
+            in.number("constraint coefficient");
       constraints.push_back(std::move(c));
     }
-    tok = checked_token(is, "end");
+    tok = in.token("end");
   }
   HSSTA_REQUIRE(tok == "end",
                 "model file: expected 'end', got '" + tok + "'");

@@ -305,7 +305,6 @@ std::string Engine::handle_open_session(const Request& req) {
     // recomputes until the session's first change.
     session = std::make_shared<Session>(id, req.design,
                                         it->second->design.incremental());
-    session->state.set_executor(std::make_shared<exec::SerialExecutor>());
     session->last_used = Clock::now();
     sessions_.emplace(id, session);
   }
@@ -574,8 +573,7 @@ std::string Engine::handle_restore_session(const Request& req) {
   // happens outside mu_ like load_design's build.
   std::optional<incr::DesignState> state;
   try {
-    state.emplace(incr::DesignState::load_file(
-        req.file, std::make_shared<exec::SerialExecutor>()));
+    state.emplace(incr::DesignState::load_file(req.file));
     // Eager analyze: the restored session answers its first eco from warm
     // state, and the response can report the design delay like
     // open_session does. Bit-identical to the saved session's analyze()

@@ -23,9 +23,9 @@
 /// Per-session serialization falls out of the grouping: all of a
 /// session's requests in a batch run in one group, in arrival order, so
 /// a session's changes stay ordered no matter how many connections issue
-/// them. Sessions analyze on private serial executors (executor regions
-/// do not nest), so every response is bit-identical to the equivalent
-/// one-shot CLI analysis at any client count and any `threads` setting.
+/// them. Sessions analyze serially inside their group, so every response
+/// is bit-identical to the equivalent one-shot CLI analysis at any client
+/// count and any `threads` setting.
 /// Responses are delivered in batch arrival order after the batch drains;
 /// per-submitter request order is therefore preserved end to end.
 ///

@@ -2,7 +2,7 @@
 /// Structure-of-arrays canonical-form storage: one contiguous row-major
 /// [rows x (dim + 2)] matrix of doubles, each row holding one form as
 /// [nominal, corr[0..dim), random]. PropagationResult keeps one row per
-/// vertex slot, so a level-synchronous sweep walks memory linearly instead
+/// vertex slot, so a topological sweep walks memory linearly instead
 /// of chasing one heap vector per vertex, and the span kernels of
 /// canonical.hpp / statops.hpp fold rows in place — no allocation anywhere
 /// on the hot path. CanonicalForm remains the boundary type: `form()` /

@@ -6,19 +6,6 @@
 
 namespace hssta::timing {
 
-size_t LevelStructure::max_width() const {
-  size_t best = 0;
-  for (size_t l = 0; l < num_levels(); ++l)
-    best = std::max(best, offsets[l + 1] - offsets[l]);
-  return best;
-}
-
-double LevelStructure::mean_width() const {
-  const size_t n = num_levels();
-  return n == 0 ? 0.0
-               : static_cast<double>(order.size()) / static_cast<double>(n);
-}
-
 TimingGraph::TimingGraph(
     std::shared_ptr<const variation::VariationSpace> space)
     : space_(std::move(space)) {

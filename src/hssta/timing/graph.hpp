@@ -27,22 +27,20 @@ inline constexpr VertexId kNoVertex = std::numeric_limits<VertexId>::max();
 inline constexpr EdgeId kNoEdge = std::numeric_limits<EdgeId>::max();
 inline constexpr uint32_t kNoLevel = std::numeric_limits<uint32_t>::max();
 
-/// How a sweep decides to fan out *within* one propagation (across the
-/// vertices of each topological level) instead of across outer work units:
-///  * kAuto — level-parallel when the outer fan-out cannot saturate the
-///    executor and the graph is wide enough to amortize per-level barriers;
-///  * kOn   — always level-parallel (given a concurrent executor);
-///  * kOff  — always the outer fan-out / serial sweep.
-/// The choice never changes any result bit; it is purely a speed knob.
-enum class LevelParallel { kAuto, kOn, kOff };
+/// A sweep-schedule selector with the single value kAuto: every sweep has
+/// one schedule, and nothing reads it. It is only the type of the two
+/// unused fields flow::Config::level_parallel and
+/// core::CriticalityOptions::level_parallel (see there).
+enum class LevelParallel { kAuto };
 
 /// Levelization of the live graph: level(v) = 0 for fanin-free vertices,
 /// otherwise 1 + max level over fanin sources, so every live edge goes to a
 /// strictly higher level. `order` equals topo_order() exactly (Kahn's ready
 /// queue pops levels in nondecreasing order), and the buckets partition it
 /// contiguously — bucket l is the span order[offsets[l], offsets[l+1]).
-/// Vertices within one level share no edges, which is what makes the
-/// level-synchronous sweeps race-free and bit-identical to the serial order.
+/// Vertices within one level share no edges. The incremental cone sweep
+/// walks `order` to visit only dirty vertices in topological order, and
+/// criticality derives its backward gather plan from it.
 struct LevelStructure {
   std::vector<VertexId> order;    ///< == topo_order(), grouped by level
   std::vector<size_t> offsets;    ///< bucket boundaries; size num_levels()+1
@@ -55,10 +53,6 @@ struct LevelStructure {
     return std::span<const VertexId>(order).subspan(
         offsets[level], offsets[level + 1] - offsets[level]);
   }
-  /// Widest bucket (0 for an empty graph).
-  [[nodiscard]] size_t max_width() const;
-  /// Live vertices per level (0.0 for an empty graph).
-  [[nodiscard]] double mean_width() const;
 };
 
 struct TimingVertex {

@@ -10,59 +10,6 @@ namespace hssta::timing {
 
 namespace {
 
-/// Per-worker scratch of the level-synchronous sweeps: the fold candidate
-/// plus this worker's share of the diagnostics counters (merged by integer
-/// sum after the sweep, so totals equal the serial sweep's exactly).
-struct SweepScratch {
-  CanonicalForm candidate;
-  MaxDiagnostics diag;
-};
-
-/// Fold the fanin of `v` into row v of r.time / r.valid[v], entirely on
-/// bank rows: candidate = time[from] + delay (add_into), then either a row
-/// copy (first live fanin) or an in-place statistical max with the row as
-/// both accumulator and destination. Shared by the serial and the
-/// level-synchronous sweeps so both run the exact same arithmetic on every
-/// vertex. No allocation: `candidate` is caller-owned reusable scratch.
-inline void relax_fanin(const TimingGraph& g, VertexId v, PropagationResult& r,
-                        FormView candidate, MaxDiagnostics& diag) {
-  bool has = r.valid[v] != 0;  // sources carry arrival 0
-  const FormView dst = r.time.row(v);
-  for (EdgeId e : g.vertex(v).fanin) {
-    const TimingEdge& te = g.edge(e);
-    if (!r.valid[te.from]) continue;
-    add_into(candidate, r.time.row(te.from), te.delay.view());
-    if (!has) {
-      form_copy(dst, candidate);
-      has = true;
-    } else {
-      statistical_max_into(dst, dst, candidate, &diag);
-    }
-  }
-  r.valid[v] = has ? 1 : 0;
-}
-
-/// Backward twin: fold the fanout of `v` (remaining delay to the seeded
-/// sinks) into row v of r.time / r.valid[v].
-inline void relax_fanout(const TimingGraph& g, VertexId v,
-                         PropagationResult& r, FormView candidate,
-                         MaxDiagnostics& diag) {
-  bool has = r.valid[v] != 0;  // sinks carry remaining delay 0
-  const FormView dst = r.time.row(v);
-  for (EdgeId e : g.vertex(v).fanout) {
-    const TimingEdge& te = g.edge(e);
-    if (!r.valid[te.to]) continue;
-    add_into(candidate, r.time.row(te.to), te.delay.view());
-    if (!has) {
-      form_copy(dst, candidate);
-      has = true;
-    } else {
-      statistical_max_into(dst, dst, candidate, &diag);
-    }
-  }
-  r.valid[v] = has ? 1 : 0;
-}
-
 /// Shared initialization: recycle r's buffers, seed `seeds` (or `ports`
 /// when the span is empty) at time 0. FormBank::reset zero-fills in place,
 /// so a reused result does not reallocate.
@@ -82,49 +29,7 @@ void reset_result(const TimingGraph& g, PropagationResult& r,
   }
 }
 
-/// Level-synchronous driver shared by the forward and backward sweeps:
-/// iterate the buckets in `front_to_back` or reverse order, fan each level
-/// out across `ex` (chunked by canonical-op cost: folded-edge count times
-/// the coefficient dimension), then merge the per-worker diagnostics.
-template <typename Relax>
-void level_sweep(const TimingGraph& g, PropagationResult& r,
-                 exec::Executor& ex, bool front_to_back, Relax&& relax) {
-  const std::shared_ptr<const LevelStructure> ls = g.levels();
-  const exec::Executor::Exclusive scope(ex);
-  for (size_t w = 0; w < ex.num_workspaces(); ++w) {
-    SweepScratch& sc = ex.workspace(w).get<SweepScratch>();
-    sc.diag = MaxDiagnostics{};
-    if (sc.candidate.dim() != g.dim()) sc.candidate = CanonicalForm(g.dim());
-  }
-  const auto cost = [&](VertexId v) {
-    const TimingVertex& tv = g.vertex(v);
-    return 1 + (front_to_back ? tv.fanin.size() : tv.fanout.size()) * g.dim();
-  };
-  for_each_level(*ls, ex, front_to_back, cost,
-                 [&](VertexId v, exec::Workspace& ws) {
-                   SweepScratch& sc = ws.get<SweepScratch>();
-                   relax(v, sc.candidate.view(), sc.diag);
-                 });
-  for (size_t w = 0; w < ex.num_workspaces(); ++w)
-    r.diagnostics += ex.workspace(w).get<SweepScratch>().diag;
-}
-
 }  // namespace
-
-bool use_level_parallel(const LevelStructure& ls, size_t concurrency,
-                        LevelParallel mode, size_t outer_items) {
-  if (concurrency <= 1 || mode == LevelParallel::kOff) return false;
-  if (mode == LevelParallel::kOn) return true;
-  return outer_items < 2 * concurrency && ls.mean_width() >= 16.0;
-}
-
-bool use_level_parallel(const TimingGraph& g, size_t concurrency,
-                        LevelParallel mode, size_t outer_items) {
-  if (concurrency <= 1 || mode == LevelParallel::kOff) return false;
-  if (mode == LevelParallel::kOn) return true;
-  if (outer_items >= 2 * concurrency) return false;  // no levelization cost
-  return use_level_parallel(*g.levels(), concurrency, mode, outer_items);
-}
 
 CanonicalForm PropagationResult::at(VertexId v) const {
   HSSTA_REQUIRE(v < time.rows() && valid[v], "time of unreached vertex");
@@ -138,28 +43,34 @@ PropagationResult propagate_arrivals(const TimingGraph& g,
   return r;
 }
 
+bool fold_fanin(const TimingGraph& g, VertexId v, const PropagationResult& r,
+                FormView dst, FormView candidate, bool seeded,
+                MaxDiagnostics* diag) {
+  bool has = seeded;
+  for (EdgeId e : g.vertex(v).fanin) {
+    const TimingEdge& te = g.edge(e);
+    if (!r.valid[te.from]) continue;
+    add_into(candidate, r.time.row(te.from), te.delay.view());
+    if (!has) {
+      form_copy(dst, candidate);
+      has = true;
+    } else {
+      statistical_max_into(dst, dst, candidate, diag);
+    }
+  }
+  return has;
+}
+
 void propagate_arrivals_into(const TimingGraph& g,
                              std::span<const VertexId> sources,
                              PropagationResult& r) {
   reset_result(g, r, sources, g.inputs(), "propagation source is dead");
   CanonicalForm candidate(g.dim());
   for (VertexId v : g.topo_order())
-    relax_fanin(g, v, r, candidate.view(), r.diagnostics);
-}
-
-void propagate_arrivals_into(const TimingGraph& g,
-                             std::span<const VertexId> sources,
-                             PropagationResult& r, exec::Executor& ex,
-                             LevelParallel mode) {
-  if (!use_level_parallel(g, ex.concurrency(), mode)) {
-    propagate_arrivals_into(g, sources, r);
-    return;
-  }
-  reset_result(g, r, sources, g.inputs(), "propagation source is dead");
-  level_sweep(g, r, ex, /*front_to_back=*/true,
-              [&](VertexId v, FormView candidate, MaxDiagnostics& diag) {
-                relax_fanin(g, v, r, candidate, diag);
-              });
+    r.valid[v] = fold_fanin(g, v, r, r.time.row(v), candidate.view(),
+                            /*seeded=*/r.valid[v] != 0, &r.diagnostics)
+                     ? 1
+                     : 0;
 }
 
 void propagate_required_into(const TimingGraph& g,
@@ -168,24 +79,27 @@ void propagate_required_into(const TimingGraph& g,
   reset_result(g, r, sinks, g.outputs(), "propagation sink is dead");
   std::vector<VertexId> order = g.topo_order();
   std::reverse(order.begin(), order.end());
+  // The backward twin of fold_fanin, on bank rows: fold each vertex's
+  // fanout (remaining delay to the seeded sinks, which carry 0) into its
+  // own row.
   CanonicalForm candidate(g.dim());
-  for (VertexId v : order)
-    relax_fanout(g, v, r, candidate.view(), r.diagnostics);
-}
-
-void propagate_required_into(const TimingGraph& g,
-                             std::span<const VertexId> sinks,
-                             PropagationResult& r, exec::Executor& ex,
-                             LevelParallel mode) {
-  if (!use_level_parallel(g, ex.concurrency(), mode)) {
-    propagate_required_into(g, sinks, r);
-    return;
+  const FormView cand = candidate.view();
+  for (VertexId v : order) {
+    bool has = r.valid[v] != 0;
+    const FormView dst = r.time.row(v);
+    for (EdgeId e : g.vertex(v).fanout) {
+      const TimingEdge& te = g.edge(e);
+      if (!r.valid[te.to]) continue;
+      add_into(cand, r.time.row(te.to), te.delay.view());
+      if (!has) {
+        form_copy(dst, cand);
+        has = true;
+      } else {
+        statistical_max_into(dst, dst, cand, &r.diagnostics);
+      }
+    }
+    r.valid[v] = has ? 1 : 0;
   }
-  reset_result(g, r, sinks, g.outputs(), "propagation sink is dead");
-  level_sweep(g, r, ex, /*front_to_back=*/false,
-              [&](VertexId v, FormView candidate, MaxDiagnostics& diag) {
-                relax_fanout(g, v, r, candidate, diag);
-              });
 }
 
 PropagationResult propagate_to_sink(const TimingGraph& g, VertexId sink) {

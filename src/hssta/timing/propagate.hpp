@@ -10,72 +10,10 @@
 #include <span>
 #include <vector>
 
-#include "hssta/exec/executor.hpp"
 #include "hssta/timing/graph.hpp"
 #include "hssta/timing/statops.hpp"
 
 namespace hssta::timing {
-
-/// Decide whether a sweep should fan out across the vertices of each level
-/// instead of leaving the parallelism to `outer_items` independent outer
-/// work units (per-input propagations, per-sample evaluations, ...).
-///  * kOff, or a serial executor, never level-parallelizes;
-///  * kOn always does;
-///  * kAuto does when the outer fan-out cannot occupy the executor
-///    (outer_items < 2 * concurrency) and the graph is wide enough for
-///    per-level regions to pay off (mean level width >= 16).
-[[nodiscard]] bool use_level_parallel(const LevelStructure& ls,
-                                      size_t concurrency, LevelParallel mode,
-                                      size_t outer_items = 1);
-
-/// Same decision from the graph. Builds the levelization only when the
-/// answer can depend on it (kAuto with a concurrent executor), so kOff /
-/// serial callers pay nothing for asking.
-[[nodiscard]] bool use_level_parallel(const TimingGraph& g,
-                                      size_t concurrency, LevelParallel mode,
-                                      size_t outer_items = 1);
-
-/// Levels narrower than this run inline on the calling thread even in a
-/// level-parallel sweep (see exec::run_maybe_parallel) — identical results,
-/// no pool round-trip for the long skinny head/tail of a circuit.
-inline constexpr size_t kMinLevelFanOut = 16;
-
-/// Drive one level-synchronous sweep: iterate the buckets front to back
-/// (forward sweeps) or back to front (backward sweeps) and fan each level
-/// out across `ex`; levels narrower than kMinLevelFanOut run inline.
-/// `fn(v, ws)` must only write state owned by vertex v — within-level
-/// vertices share no edges, so that makes the schedule race-free.
-///
-/// `cost_of(v)` estimates the canonical-op cost of one vertex (a sweep
-/// typically charges fanin-or-fanout count x coefficient dimension); wide
-/// levels are chunked by that cost via exec::parallel_for_costed instead
-/// of by vertex count, so one heavy multi-fanin vertex no longer straggles
-/// its level behind a worker that also drew the rest of a uniform chunk.
-/// Chunking is a pure schedule choice — per-vertex arithmetic is
-/// untouched, so results stay bit-identical. The one place every sweep's
-/// bucket iteration lives, so schedule changes land everywhere at once.
-template <typename Cost, typename Fn>
-void for_each_level(const LevelStructure& ls, exec::Executor& ex,
-                    bool front_to_back, Cost&& cost_of, Fn&& fn) {
-  const size_t num_levels = ls.num_levels();
-  std::vector<uint64_t> costs;  // recycled across levels
-  for (size_t step = 0; step < num_levels; ++step) {
-    const std::span<const VertexId> bucket =
-        ls.bucket(front_to_back ? step : num_levels - 1 - step);
-    const auto task = [&](size_t k, exec::Workspace& ws) {
-      fn(bucket[k], ws);
-    };
-    if (ex.concurrency() > 1 && bucket.size() >= kMinLevelFanOut) {
-      costs.clear();
-      costs.reserve(bucket.size());
-      for (const VertexId v : bucket)
-        costs.push_back(static_cast<uint64_t>(cost_of(v)));
-      exec::parallel_for_costed(ex, costs, task);
-    } else {
-      exec::run_maybe_parallel(ex, bucket.size(), kMinLevelFanOut, task);
-    }
-  }
-}
 
 /// Per-vertex canonical times as a FormBank — one contiguous
 /// [num_vertex_slots x (dim+2)] row-major matrix, row v holding vertex v's
@@ -110,16 +48,18 @@ void propagate_arrivals_into(const TimingGraph& g,
                              std::span<const VertexId> sources,
                              PropagationResult& r);
 
-/// Level-synchronous variant: sweeps g.levels() front to back and fans the
-/// vertices of each level out across `ex` (within-level vertices share no
-/// edges, so each one folds its fanin independently). Bit-identical to the
-/// serial sweep at every thread count — per-vertex arithmetic is unchanged
-/// and the diagnostics counters merge by integer sum. `mode` kAuto falls
-/// back to the serial sweep for narrow graphs or serial executors.
-void propagate_arrivals_into(const TimingGraph& g,
-                             std::span<const VertexId> sources,
-                             PropagationResult& r, exec::Executor& ex,
-                             LevelParallel mode = LevelParallel::kAuto);
+/// The fold of one vertex's arrival, shared by propagate_arrivals_into and
+/// the incremental cone sweep (incr::DesignState) so full and incremental
+/// propagation run one piece of arithmetic: for each fanin edge e of `v`
+/// whose source r.valid marks reached, in fanin-list order, candidate =
+/// time[from(e)] + delay(e); the first candidate is copied into `dst`
+/// (unless `seeded`: dst already holds an arrival, a source's 0) and every
+/// later one max-folds into it. `dst` may be row v of r.time itself;
+/// `candidate` is caller-owned scratch. Returns whether dst holds an
+/// arrival afterwards (seeded, or some fanin was reached).
+bool fold_fanin(const TimingGraph& g, VertexId v, const PropagationResult& r,
+                FormView dst, FormView candidate, bool seeded,
+                MaxDiagnostics* diag);
 
 /// Backward "required time" ingredient: time[v] = statistical max delay
 /// from v to any of `sinks` over all live paths (an empty span means "all
@@ -129,13 +69,6 @@ void propagate_arrivals_into(const TimingGraph& g,
 void propagate_required_into(const TimingGraph& g,
                              std::span<const VertexId> sinks,
                              PropagationResult& r);
-
-/// Level-synchronous variant of the backward pass (levels back to front);
-/// same bit-identity contract as the forward overload.
-void propagate_required_into(const TimingGraph& g,
-                             std::span<const VertexId> sinks,
-                             PropagationResult& r, exec::Executor& ex,
-                             LevelParallel mode = LevelParallel::kAuto);
 
 /// Backward propagation: time[v] = statistical max delay from v to `sink`
 /// over all live paths; time[sink] = 0.

@@ -2,74 +2,9 @@
 
 #include <algorithm>
 
-#include "hssta/timing/propagate.hpp"
 #include "hssta/util/error.hpp"
 
 namespace hssta::timing {
-
-namespace {
-
-/// Forward scalar relax shared by the serial and level-synchronous sweeps.
-inline void relax_scalar_fanin(const TimingGraph& g, VertexId v,
-                               std::span<const double> edge_delays,
-                               ScalarArrivals& r) {
-  bool has = r.valid[v] != 0;
-  double best = r.time[v];
-  for (EdgeId e : g.vertex(v).fanin) {
-    const TimingEdge& te = g.edge(e);
-    if (!r.valid[te.from]) continue;
-    const double cand = r.time[te.from] + edge_delays[e];
-    best = has ? std::max(best, cand) : cand;
-    has = true;
-  }
-  r.time[v] = best;
-  r.valid[v] = has ? 1 : 0;
-}
-
-/// Backward scalar relax: required[v] = min over fanout of required[to] -
-/// delay, clamped at the output deadline when v is itself an output port.
-inline void relax_scalar_fanout(const TimingGraph& g, VertexId v,
-                                std::span<const double> edge_delays,
-                                ScalarArrivals& r) {
-  bool has = r.valid[v] != 0;  // output ports are seeded at the deadline
-  double best = r.time[v];
-  for (EdgeId e : g.vertex(v).fanout) {
-    const TimingEdge& te = g.edge(e);
-    if (!r.valid[te.to]) continue;
-    const double cand = r.time[te.to] - edge_delays[e];
-    best = has ? std::min(best, cand) : cand;
-    has = true;
-  }
-  r.time[v] = best;
-  r.valid[v] = has ? 1 : 0;
-}
-
-void reset_scalar(const TimingGraph& g, ScalarArrivals& r) {
-  r.time.assign(g.num_vertex_slots(), 0.0);
-  r.valid.assign(g.num_vertex_slots(), 0);
-}
-
-void seed_sources(const TimingGraph& g, std::span<const VertexId> sources,
-                  ScalarArrivals& r) {
-  if (sources.empty()) {
-    for (VertexId v : g.inputs()) r.valid[v] = 1;
-  } else {
-    for (VertexId v : sources) {
-      HSSTA_REQUIRE(g.vertex_alive(v), "longest-path source is dead");
-      r.valid[v] = 1;
-    }
-  }
-}
-
-void seed_outputs(const TimingGraph& g, double required_at_outputs,
-                  ScalarArrivals& r) {
-  for (VertexId v : g.outputs()) {
-    r.time[v] = required_at_outputs;
-    r.valid[v] = 1;
-  }
-}
-
-}  // namespace
 
 double ScalarArrivals::max_over_outputs(const TimingGraph& g) const {
   bool has = false;
@@ -89,30 +24,30 @@ ScalarArrivals longest_path(const TimingGraph& g,
   HSSTA_REQUIRE(edge_delays.size() == g.num_edge_slots(),
                 "need one delay per edge slot");
   ScalarArrivals r;
-  reset_scalar(g, r);
-  seed_sources(g, sources, r);
-  for (VertexId v : g.topo_order()) relax_scalar_fanin(g, v, edge_delays, r);
-  return r;
-}
-
-ScalarArrivals longest_path(const TimingGraph& g,
-                            std::span<const double> edge_delays,
-                            std::span<const VertexId> sources,
-                            exec::Executor& ex, LevelParallel mode) {
-  if (!use_level_parallel(g, ex.concurrency(), mode))
-    return longest_path(g, edge_delays, sources);
-  const std::shared_ptr<const LevelStructure> ls = g.levels();
-  HSSTA_REQUIRE(edge_delays.size() == g.num_edge_slots(),
-                "need one delay per edge slot");
-  ScalarArrivals r;
-  reset_scalar(g, r);
-  seed_sources(g, sources, r);
-  const exec::Executor::Exclusive scope(ex);
-  for_each_level(*ls, ex, /*front_to_back=*/true,
-                 [&](VertexId v) { return 1 + g.vertex(v).fanin.size(); },
-                 [&](VertexId v, exec::Workspace&) {
-                   relax_scalar_fanin(g, v, edge_delays, r);
-                 });
+  r.time.assign(g.num_vertex_slots(), 0.0);
+  r.valid.assign(g.num_vertex_slots(), 0);
+  if (sources.empty()) {
+    for (VertexId v : g.inputs()) r.valid[v] = 1;
+  } else {
+    for (VertexId v : sources) {
+      HSSTA_REQUIRE(g.vertex_alive(v), "longest-path source is dead");
+      r.valid[v] = 1;
+    }
+  }
+  // arrival[v] = max over reached fanin of arrival[from] + delay.
+  for (VertexId v : g.topo_order()) {
+    bool has = r.valid[v] != 0;
+    double best = r.time[v];
+    for (EdgeId e : g.vertex(v).fanin) {
+      const TimingEdge& te = g.edge(e);
+      if (!r.valid[te.from]) continue;
+      const double cand = r.time[te.from] + edge_delays[e];
+      best = has ? std::max(best, cand) : cand;
+      has = true;
+    }
+    r.time[v] = best;
+    r.valid[v] = has ? 1 : 0;
+  }
   return r;
 }
 
@@ -122,32 +57,29 @@ ScalarArrivals required_times(const TimingGraph& g,
   HSSTA_REQUIRE(edge_delays.size() == g.num_edge_slots(),
                 "need one delay per edge slot");
   ScalarArrivals r;
-  reset_scalar(g, r);
-  seed_outputs(g, required_at_outputs, r);
+  r.time.assign(g.num_vertex_slots(), 0.0);
+  r.valid.assign(g.num_vertex_slots(), 0);
+  for (VertexId v : g.outputs()) {
+    r.time[v] = required_at_outputs;
+    r.valid[v] = 1;
+  }
+  // required[v] = min over fanout of required[to] - delay; an output port
+  // stays clamped at the deadline it was seeded with.
   std::vector<VertexId> order = g.topo_order();
   std::reverse(order.begin(), order.end());
-  for (VertexId v : order) relax_scalar_fanout(g, v, edge_delays, r);
-  return r;
-}
-
-ScalarArrivals required_times(const TimingGraph& g,
-                              std::span<const double> edge_delays,
-                              double required_at_outputs, exec::Executor& ex,
-                              LevelParallel mode) {
-  if (!use_level_parallel(g, ex.concurrency(), mode))
-    return required_times(g, edge_delays, required_at_outputs);
-  const std::shared_ptr<const LevelStructure> ls = g.levels();
-  HSSTA_REQUIRE(edge_delays.size() == g.num_edge_slots(),
-                "need one delay per edge slot");
-  ScalarArrivals r;
-  reset_scalar(g, r);
-  seed_outputs(g, required_at_outputs, r);
-  const exec::Executor::Exclusive scope(ex);
-  for_each_level(*ls, ex, /*front_to_back=*/false,
-                 [&](VertexId v) { return 1 + g.vertex(v).fanout.size(); },
-                 [&](VertexId v, exec::Workspace&) {
-                   relax_scalar_fanout(g, v, edge_delays, r);
-                 });
+  for (VertexId v : order) {
+    bool has = r.valid[v] != 0;
+    double best = r.time[v];
+    for (EdgeId e : g.vertex(v).fanout) {
+      const TimingEdge& te = g.edge(e);
+      if (!r.valid[te.to]) continue;
+      const double cand = r.time[te.to] - edge_delays[e];
+      best = has ? std::min(best, cand) : cand;
+      has = true;
+    }
+    r.time[v] = best;
+    r.valid[v] = has ? 1 : 0;
+  }
   return r;
 }
 

@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "hssta/exec/executor.hpp"
 #include "hssta/timing/graph.hpp"
 
 namespace hssta::timing {
@@ -31,14 +30,6 @@ struct ScalarArrivals {
     const TimingGraph& g, std::span<const double> edge_delays,
     std::span<const VertexId> sources = {});
 
-/// Level-synchronous variant: fans each level's vertices out across `ex`
-/// (kAuto falls back to the serial sweep for narrow graphs or serial
-/// executors). Bit-identical to the serial sweep at every thread count.
-[[nodiscard]] ScalarArrivals longest_path(
-    const TimingGraph& g, std::span<const double> edge_delays,
-    std::span<const VertexId> sources, exec::Executor& ex,
-    LevelParallel mode = LevelParallel::kAuto);
-
 /// The deterministic required-time pass: required[v] = the latest time v
 /// may switch such that every output still meets `required_at_outputs`,
 /// i.e. the min over fanout of required[to] - delay (outputs themselves
@@ -48,13 +39,6 @@ struct ScalarArrivals {
 [[nodiscard]] ScalarArrivals required_times(
     const TimingGraph& g, std::span<const double> edge_delays,
     double required_at_outputs);
-
-/// Level-synchronous variant of the required-time pass (levels back to
-/// front); same bit-identity contract as the forward overload.
-[[nodiscard]] ScalarArrivals required_times(
-    const TimingGraph& g, std::span<const double> edge_delays,
-    double required_at_outputs, exec::Executor& ex,
-    LevelParallel mode = LevelParallel::kAuto);
 
 /// Per-edge delays at nominal + k * sigma (k = 0: nominal STA; k = 3: the
 /// classical worst corner, deliberately correlation-blind).

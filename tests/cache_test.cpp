@@ -117,7 +117,6 @@ TEST(Fingerprint, ConfigKeyCoversModelInputsOnly) {
   // Speed knobs and downstream options do not participate.
   flow::Config speed;
   speed.threads = 7;
-  speed.level_parallel = timing::LevelParallel::kOn;
   speed.cache.dir = "/tmp/somewhere";
   speed.mc.samples = 17;
   speed.hier.interconnect_delay = 0.3;
@@ -126,9 +125,10 @@ TEST(Fingerprint, ConfigKeyCoversModelInputsOnly) {
 }
 
 TEST(Fingerprint, ExtractOptionsKeyIgnoresSchedule) {
+  // The thread count is not an extraction option, so the key covers only
+  // the result-affecting fields.
   model::ExtractOptions a;
   model::ExtractOptions b;
-  b.level_parallel = timing::LevelParallel::kOn;
   EXPECT_EQ(model::fingerprint(a), model::fingerprint(b));
   b.criticality_threshold = 0.1;
   EXPECT_NE(model::fingerprint(a), model::fingerprint(b));
@@ -252,13 +252,11 @@ TEST_F(CacheTest, ConfigChangeChangesKey) {
 TEST_F(CacheTest, SpeedKnobsShareOneEntry) {
   flow::Config cfg = cached_config();
   cfg.threads = 2;
-  cfg.level_parallel = timing::LevelParallel::kOn;
   const flow::Module a = flow::Module::from_bench_string(bench_text(), cfg);
   const std::string bytes_a = model_bytes(a);
 
   flow::Config cfg2 = cached_config();
   cfg2.threads = 1;
-  cfg2.level_parallel = timing::LevelParallel::kOff;
   const flow::Module b = flow::Module::from_bench_string(bench_text(), cfg2);
   EXPECT_EQ(model_bytes(b), bytes_a);
   EXPECT_EQ(b.cache_stats().hits, 1u);

@@ -165,7 +165,7 @@ TEST_F(CampaignSerializeTest, PendingChangesSurviveTheSave) {
 TEST_F(CampaignSerializeTest, EmbeddedModelsRoundTrip) {
   // A chain built from a pre-extracted .hstm exercises the embedded-model
   // payload (length-prefixed, content-hashed) instead of the .bench path.
-  const flow::Module m = flow::Module::from_bench_file(file("a.bench"), {});
+  const flow::Module m = flow::Module::from_file(file("a.bench"), {});
   m.extract_model().model.save_file(file("a.hstm"));
   const flow::Design base = flow::build_chain_design(
       "hm", {file("a.hstm"), file("b.bench")}, flow::Config{});

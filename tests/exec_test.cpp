@@ -319,140 +319,20 @@ TEST(FlowThreads, ConfigParsesThreadsKey) {
   EXPECT_THROW((void)flow::Config::from_string("threads = -2\n"), Error);
 }
 
-TEST(FlowThreads, ConfigParsesLevelParallelKey) {
-  using timing::LevelParallel;
-  EXPECT_EQ(flow::Config{}.level_parallel, LevelParallel::kAuto);
-  EXPECT_EQ(flow::Config::from_string("level_parallel = on\n").level_parallel,
-            LevelParallel::kOn);
-  EXPECT_EQ(
-      flow::Config::from_string("[exec]\nlevel_parallel = off\n")
-          .level_parallel,
-      LevelParallel::kOff);
-  EXPECT_EQ(
-      flow::Config::from_string("level_parallel = auto\n").level_parallel,
-      LevelParallel::kAuto);
-  EXPECT_THROW((void)flow::Config::from_string("level_parallel = maybe\n"),
-               Error);
-}
-
-TEST(Executor, RunMaybeParallelCoversAndRejectsNesting) {
-  exec::ThreadPoolExecutor pool(3);
-  // Inline path (n below the threshold): every index exactly once, on the
-  // calling thread's workspace slot 0.
-  std::vector<int> hits(8, 0);
-  exec::run_maybe_parallel(pool, hits.size(), 100,
-                           [&](size_t i, exec::Workspace& ws) {
-                             EXPECT_EQ(&ws, &pool.workspace(0));
-                             ++hits[i];
-                           });
-  EXPECT_EQ(hits, std::vector<int>(8, 1));
-  // Parallel path (n at/above the threshold): still exactly once each.
-  std::vector<std::atomic<int>> phits(64);
-  exec::run_maybe_parallel(pool, phits.size(), 4,
-                           [&](size_t i, exec::Workspace&) { ++phits[i]; });
-  for (const auto& h : phits) EXPECT_EQ(h.load(), 1);
-  // Both paths are regions: nested submission on the same executor throws.
-  exec::run_maybe_parallel(pool, 1, 100, [&](size_t, exec::Workspace&) {
-    EXPECT_THROW(
-        exec::run_maybe_parallel(pool, 1, 100,
-                                 [](size_t, exec::Workspace&) {}),
-        Error);
-    EXPECT_THROW(pool.parallel_for(1, [](size_t, exec::Workspace&) {}),
-                 Error);
-  });
-}
-
-// --- cost-chunked scheduling ------------------------------------------------
-
-TEST(Executor, CostChunksBalanceAndCover) {
-  // One dominating item: it gets a chunk (nearly) to itself, the rest
-  // spread over the remaining slots.
-  const std::vector<uint64_t> heavy{1, 1, 1000, 1, 1, 1, 1, 1};
-  const std::vector<size_t> b = exec::cost_chunks(heavy, 4);
-  ASSERT_EQ(b.size(), 5u);
-  EXPECT_EQ(b.front(), 0u);
-  EXPECT_EQ(b.back(), heavy.size());
-  for (size_t w = 1; w < b.size(); ++w) EXPECT_LE(b[w - 1], b[w]);
-  // The heavy item's chunk must not also carry the tail: it ends right
-  // after the heavy item, leaving indices 3.. to the remaining slots.
-  size_t heavy_chunk = 0;
-  while (b[heavy_chunk + 1] <= 2) ++heavy_chunk;
-  EXPECT_EQ(b[heavy_chunk + 1], 3u);
-
-  // Uniform costs reproduce parallel_for's uniform chunks.
-  const std::vector<uint64_t> uniform(12, 7);
-  const std::vector<size_t> u = exec::cost_chunks(uniform, 3);
-  EXPECT_EQ(u, (std::vector<size_t>{0, 4, 8, 12}));
-  // All-zero costs fall back to uniform item counts.
-  const std::vector<uint64_t> zeros(9, 0);
-  const std::vector<size_t> z = exec::cost_chunks(zeros, 3);
-  EXPECT_EQ(z, (std::vector<size_t>{0, 3, 6, 9}));
-  // More slots than items: clamped.
-  EXPECT_EQ(exec::cost_chunks(std::vector<uint64_t>{5}, 8).size(), 2u);
-  EXPECT_EQ(exec::cost_chunks({}, 4), (std::vector<size_t>{0, 0}));
-}
-
-TEST(Executor, ParallelForChunksHonorsBoundsDeterministically) {
-  exec::ThreadPoolExecutor pool(4);
-  const std::vector<size_t> bounds{0, 1, 9, 9, 16};
-  // Coverage: every index exactly once.
-  std::vector<std::atomic<int>> hits(16);
-  pool.parallel_for_chunks(bounds,
-                           [&](size_t i, exec::Workspace&) { ++hits[i]; });
-  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-  // Determinism: index i runs on the workspace of the slot whose
-  // [bounds[w], bounds[w+1]) chunk contains it.
-  std::vector<exec::Workspace*> seen(16, nullptr);
-  pool.parallel_for_chunks(
-      bounds, [&](size_t i, exec::Workspace& ws) { seen[i] = &ws; });
-  for (size_t w = 0; w + 1 < bounds.size(); ++w)
-    for (size_t i = bounds[w]; i < bounds[w + 1]; ++i)
-      EXPECT_EQ(seen[i], &pool.workspace(w)) << "index " << i;
-
-  // Malformed bounds are rejected loudly.
-  EXPECT_THROW(pool.parallel_for_chunks(std::vector<size_t>{0, 5, 3},
-                                        [](size_t, exec::Workspace&) {}),
-               Error);
-  EXPECT_THROW(pool.parallel_for_chunks(std::vector<size_t>{1, 4},
-                                        [](size_t, exec::Workspace&) {}),
-               Error);
-  EXPECT_THROW(pool.parallel_for_chunks(std::vector<size_t>{0, 1, 2, 3, 4, 5},
-                                        [](size_t, exec::Workspace&) {}),
-               Error);
-  // Chunked regions reject nested submission like any other region.
-  pool.parallel_for_chunks(std::vector<size_t>{0, 8, 16},
-                           [&](size_t, exec::Workspace&) {
-                             EXPECT_THROW(pool.parallel_for(
-                                              1, [](size_t, exec::Workspace&) {
-                                              }),
-                                          Error);
-                           });
-}
-
-TEST(Executor, ParallelForChunksSerialAndCostedCover) {
-  exec::SerialExecutor serial;
-  std::vector<int> hits(10, 0);
-  serial.parallel_for_chunks(std::vector<size_t>{0, 3, 10},
-                             [&](size_t i, exec::Workspace&) { ++hits[i]; });
-  EXPECT_EQ(hits, std::vector<int>(10, 1));
-
-  exec::ThreadPoolExecutor pool(3);
-  std::vector<uint64_t> costs(50);
-  for (size_t i = 0; i < costs.size(); ++i) costs[i] = 1 + i % 7;
-  std::vector<std::atomic<int>> chits(50);
-  exec::parallel_for_costed(pool, costs,
-                            [&](size_t i, exec::Workspace&) { ++chits[i]; });
-  for (const auto& h : chits) EXPECT_EQ(h.load(), 1);
-  // Exceptions propagate from chunked regions and the pool survives.
-  EXPECT_THROW(pool.parallel_for_chunks(
-                   std::vector<size_t>{0, 25, 50},
-                   [&](size_t i, exec::Workspace&) {
-                     if (i == 30) throw Error("chunk boom");
-                   }),
-               Error);
-  std::atomic<int> after{0};
-  pool.parallel_for(8, [&](size_t, exec::Workspace&) { ++after; });
-  EXPECT_EQ(after.load(), 8);
+TEST(FlowThreads, ConfigRejectsLevelParallelKey) {
+  // Every sweep has one schedule, so no config key selects one:
+  // level_parallel is an unknown key in every spelling.
+  for (const char* text : {"level_parallel = on\n", "level_parallel = auto\n",
+                           "[exec]\nlevel_parallel = off\n"}) {
+    try {
+      (void)flow::Config::from_string(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("config: unknown key"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --- BoundedQueue -----------------------------------------------------------

@@ -1,11 +1,15 @@
-// Differential fuzz harness for the level-synchronous sweeps: across ~50
-// random DAG shapes (varying width / depth / fanin, seeded via stats::Rng)
-// the level-parallel schedules at 1 / 2 / 4 threads must be BIT-identical
-// to the legacy serial sweeps — for arrivals, requireds, slacks, scalar
-// longest-path / required-time passes, IO delay matrices, and
-// criticalities. The criticality oracle is the per-(i, j) scalar scatter
-// pass (pair_criticalities), which the batched gather pass replaces in
-// production; any rounding difference between the two is a bug, not noise.
+// Differential fuzz harness for the propagation and criticality engines:
+// across ~50 random DAG shapes (varying width / depth / fanin, seeded via
+// stats::Rng) plus a few-input wide DAG — fewer inputs than worker
+// threads, so the per-input fan-out leaves threads idle —
+//  * the flat FormBank sweeps must be BIT-identical to the legacy
+//    per-vertex engine (timing::legacy_propagate_*);
+//  * the batched criticality gather pass must be BIT-identical to the
+//    per-(i, j) scalar scatter pass (pair_criticalities) it replaces in
+//    production; any rounding difference between the two is a bug, not
+//    noise;
+//  * criticality, all-pairs IO delays and their max diagnostics must be
+//    BIT-identical at 1 / 2 / 4 threads.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +21,6 @@
 #include "fixtures.hpp"
 #include "hssta/core/criticality.hpp"
 #include "hssta/core/io_delays.hpp"
-#include "hssta/core/ssta.hpp"
 #include "hssta/exec/executor.hpp"
 #include "hssta/netlist/generate.hpp"
 #include "hssta/timing/builder.hpp"
@@ -33,7 +36,6 @@ using core::CriticalityResult;
 using core::DelayMatrix;
 using timing::CanonicalForm;
 using timing::EdgeId;
-using timing::LevelParallel;
 using timing::MaxDiagnostics;
 using timing::PropagationResult;
 using timing::TimingGraph;
@@ -43,17 +45,6 @@ void expect_same_diag(const MaxDiagnostics& a, const MaxDiagnostics& b) {
   EXPECT_EQ(a.ops, b.ops);
   EXPECT_EQ(a.variance_clamped, b.variance_clamped);
   EXPECT_EQ(a.degenerate_theta, b.degenerate_theta);
-}
-
-void expect_same_propagation(const PropagationResult& a,
-                             const PropagationResult& b) {
-  EXPECT_EQ(a.valid, b.valid);
-  ASSERT_EQ(a.time.rows(), b.time.rows());
-  for (size_t v = 0; v < a.time.rows(); ++v)
-    if (a.valid[v])
-      EXPECT_TRUE(timing::form_equal(a.time.row(v), b.time.row(v)))
-          << "vertex " << v;
-  expect_same_diag(a.diagnostics, b.diagnostics);
 }
 
 void expect_same_matrix(const DelayMatrix& a, const DelayMatrix& b) {
@@ -81,13 +72,28 @@ std::vector<double> scatter_reference_cm(const TimingGraph& g) {
   return cm;
 }
 
+/// A few-input wide DAG: 2 inputs feeding 48-wide layers, fewer inputs than
+/// the 4 threads of the widest run.
+testing::SyntheticGraphSpec few_input_wide_spec() {
+  testing::SyntheticGraphSpec spec;
+  spec.num_inputs = 2;
+  spec.num_outputs = 5;
+  spec.width = 48;
+  spec.depth = 6;
+  spec.max_fanin = 3;
+  spec.dim = 4;
+  return spec;
+}
+
 TEST(LevelSweepDifferential, BitIdenticalAcrossSchedulesAndThreads) {
   stats::Rng rng(0x5557A5EEDull);
   const size_t kGraphs = 50;
-  size_t wide_graphs = 0;
+  size_t few_input_graphs = 0;
 
-  for (size_t t = 0; t < kGraphs; ++t) {
-    const testing::SyntheticGraphSpec spec = testing::random_spec(rng);
+  for (size_t t = 0; t <= kGraphs; ++t) {
+    // The last graph is the few-input wide shape; the rest are random.
+    const testing::SyntheticGraphSpec spec =
+        t < kGraphs ? testing::random_spec(rng) : few_input_wide_spec();
     const TimingGraph g = testing::make_synthetic_graph(spec, rng);
     SCOPED_TRACE("graph " + std::to_string(t) + ": inputs=" +
                  std::to_string(spec.num_inputs) + " outputs=" +
@@ -96,71 +102,35 @@ TEST(LevelSweepDifferential, BitIdenticalAcrossSchedulesAndThreads) {
                  std::to_string(spec.depth) + " fanin=" +
                  std::to_string(spec.max_fanin) + " dim=" +
                  std::to_string(spec.dim));
-    if (g.levels()->max_width() >= timing::kMinLevelFanOut) ++wide_graphs;
+    if (g.inputs().size() < 4) ++few_input_graphs;
 
-    // Serial references (the legacy sweeps).
-    const PropagationResult arrivals_ref = timing::propagate_arrivals(g);
-    PropagationResult required_ref;
-    timing::propagate_required_into(g, {}, required_ref);
-    const double deadline = 10.0;
-    const core::SlackResult slack_ref = core::compute_slack(g, deadline);
-    const std::vector<double> delays = timing::corner_edge_delays(g, 0.0);
-    const timing::ScalarArrivals lp_ref = timing::longest_path(g, delays);
-    const timing::ScalarArrivals rt_ref =
-        timing::required_times(g, delays, deadline);
+    // Serial references: the scatter oracle, the serial criticality run
+    // (for its diagnostics) and the serial IO delays. prune_epsilon 0
+    // matches the oracle's.
     const std::vector<double> cm_ref = scatter_reference_cm(g);
-    const DelayMatrix io_ref = core::all_pairs_io_delays(g);
+    CriticalityOptions opts;
+    opts.prune_epsilon = 0.0;
+    const CriticalityResult crit_ref = core::compute_criticality(g, opts);
+    MaxDiagnostics io_diag_ref;
+    const DelayMatrix io_ref = core::all_pairs_io_delays(g, &io_diag_ref);
 
     for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       const std::shared_ptr<exec::Executor> ex = exec::make_executor(threads);
 
-      PropagationResult arr;
-      timing::propagate_arrivals_into(g, {}, arr, *ex, LevelParallel::kOn);
-      expect_same_propagation(arrivals_ref, arr);
+      MaxDiagnostics io_diag;
+      expect_same_matrix(io_ref, core::all_pairs_io_delays(g, *ex, &io_diag));
+      expect_same_diag(io_diag_ref, io_diag);
 
-      PropagationResult req;
-      timing::propagate_required_into(g, {}, req, *ex, LevelParallel::kOn);
-      expect_same_propagation(required_ref, req);
-
-      const core::SlackResult slack =
-          core::compute_slack(g, deadline, *ex, LevelParallel::kOn);
-      EXPECT_EQ(slack_ref.valid, slack.valid);
-      for (size_t v = 0; v < slack.slack.size(); ++v)
-        if (slack.valid[v]) EXPECT_EQ(slack_ref.slack[v], slack.slack[v]);
-
-      const timing::ScalarArrivals lp =
-          timing::longest_path(g, delays, {}, *ex, LevelParallel::kOn);
-      EXPECT_EQ(lp_ref.valid, lp.valid);
-      EXPECT_EQ(lp_ref.time, lp.time);
-
-      const timing::ScalarArrivals rt =
-          timing::required_times(g, delays, deadline, *ex,
-                                 LevelParallel::kOn);
-      EXPECT_EQ(rt_ref.valid, rt.valid);
-      EXPECT_EQ(rt_ref.time, rt.time);
-
-      expect_same_matrix(io_ref,
-                         core::all_pairs_io_delays(g, *ex, nullptr,
-                                                   LevelParallel::kOn));
-
-      // Criticality: both schedules (per-input fan-out and level-parallel)
-      // against the scatter oracle. prune_epsilon 0 matches the oracle's.
-      for (const LevelParallel mode :
-           {LevelParallel::kOff, LevelParallel::kOn}) {
-        CriticalityOptions opts;
-        opts.prune_epsilon = 0.0;
-        opts.level_parallel = mode;
-        const CriticalityResult crit = core::compute_criticality(g, *ex, opts);
-        EXPECT_EQ(crit.max_criticality, cm_ref)
-            << "mode " << (mode == LevelParallel::kOn ? "on" : "off");
-        expect_same_matrix(io_ref, crit.io_delays);
-      }
+      const CriticalityResult crit = core::compute_criticality(g, *ex, opts);
+      EXPECT_EQ(crit.max_criticality, cm_ref);
+      expect_same_matrix(io_ref, crit.io_delays);
+      expect_same_diag(crit_ref.diagnostics, crit.diagnostics);
     }
   }
-  // The fuzz corpus must actually exercise the parallel bucket path, not
-  // only the narrow-level inline fallback.
-  EXPECT_GE(wide_graphs, kGraphs / 4);
+  // The corpus must actually contain graphs the per-input fan-out cannot
+  // spread over all 4 threads.
+  EXPECT_GE(few_input_graphs, kGraphs / 4);
 }
 
 void expect_same_vs_legacy(const timing::LegacyPropagation& ref,
@@ -174,12 +144,21 @@ void expect_same_vs_legacy(const timing::LegacyPropagation& ref,
   expect_same_diag(ref.diagnostics, flat.diagnostics);
 }
 
+/// Forward and backward flat sweeps against the legacy engine on `g`.
+void expect_sweeps_match_legacy(const TimingGraph& g) {
+  expect_same_vs_legacy(timing::legacy_propagate_arrivals(g),
+                        timing::propagate_arrivals(g));
+  PropagationResult req;
+  timing::propagate_required_into(g, {}, req);
+  expect_same_vs_legacy(timing::legacy_propagate_required(g, {}), req);
+}
+
 // The flat bank engine against the retired per-vertex engine (kept verbatim
 // as timing::legacy_propagate_*): across the same 50-DAG corpus, forward
-// and backward sweeps must be BIT-identical at every thread count, and the
-// flat tightness split (the criticality kernel) must match the legacy
-// span-based split at every multi-fanin vertex. This pins the SoA kernels
-// against the original arithmetic, not against themselves.
+// and backward sweeps must be BIT-identical, and the flat tightness split
+// (the criticality kernel) must match the legacy span-based split at every
+// multi-fanin vertex. This pins the SoA kernels against the original
+// arithmetic, not against themselves.
 TEST(LevelSweepDifferential, FlatBankMatchesLegacyPerVertexEngine) {
   stats::Rng rng(0xF1A7BA22ull);
   const size_t kGraphs = 50;
@@ -191,31 +170,13 @@ TEST(LevelSweepDifferential, FlatBankMatchesLegacyPerVertexEngine) {
                  std::to_string(spec.width) + " depth=" +
                  std::to_string(spec.depth) + " dim=" +
                  std::to_string(spec.dim));
-
-    const timing::LegacyPropagation arr_ref =
-        timing::legacy_propagate_arrivals(g);
-    const timing::LegacyPropagation req_ref =
-        timing::legacy_propagate_required(g, {});
-
-    const PropagationResult arr = timing::propagate_arrivals(g);
-    expect_same_vs_legacy(arr_ref, arr);
-    PropagationResult req;
-    timing::propagate_required_into(g, {}, req);
-    expect_same_vs_legacy(req_ref, req);
-
-    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      const std::shared_ptr<exec::Executor> ex = exec::make_executor(threads);
-      PropagationResult pa;
-      timing::propagate_arrivals_into(g, {}, pa, *ex, LevelParallel::kOn);
-      expect_same_vs_legacy(arr_ref, pa);
-      PropagationResult pr;
-      timing::propagate_required_into(g, {}, pr, *ex, LevelParallel::kOn);
-      expect_same_vs_legacy(req_ref, pr);
-    }
+    expect_sweeps_match_legacy(g);
 
     // Criticality kernel: the bank-based tightness split against the
     // legacy allocating split on identical candidate sets.
+    const timing::LegacyPropagation arr_ref =
+        timing::legacy_propagate_arrivals(g);
+    const PropagationResult arr = timing::propagate_arrivals(g);
     MaxDiagnostics diag_legacy, diag_flat;
     timing::FormBank cand, scratch;
     std::vector<double> tp_flat;
@@ -248,11 +209,16 @@ TEST(LevelSweepDifferential, FlatBankMatchesLegacyPerVertexEngine) {
   }
 }
 
-// Size-gated large-design smoke: a generated stacked-DAG netlist (default
-// ~20k gates; HSSTA_FLAT_SMOKE_GATES scales it up, e.g. the CI release job
-// runs >= 100k) through the synthetic-delay graph builder, with flat vs
-// legacy and serial vs parallel bit-identity on the forward sweep.
+// Size-gated large-design smoke: flat vs legacy forward and backward sweeps
+// on the synthetic c7552 module and on a generated stacked-DAG netlist
+// (default ~20k gates; HSSTA_FLAT_SMOKE_GATES scales it up, e.g. the CI
+// release job runs 120k) through the synthetic-delay graph builder.
 TEST(LevelSweepDifferential, LargeGeneratedDesignSmoke) {
+  {
+    SCOPED_TRACE("c7552");
+    expect_sweeps_match_legacy(flow::Module::from_iscas("c7552").graph());
+  }
+
   size_t gates = 20000;
   if (const char* env = std::getenv("HSSTA_FLAT_SMOKE_GATES"))
     if (const size_t n = std::strtoull(env, nullptr, 10)) gates = n;
@@ -269,39 +235,20 @@ TEST(LevelSweepDifferential, LargeGeneratedDesignSmoke) {
       netlist::make_stacked_dag(spec, testing::default_lib());
   const timing::BuiltGraph built =
       timing::synthetic_delay_graph(nl, /*dim=*/6, /*seed=*/42);
-  const TimingGraph& g = built.graph;
-
-  const timing::LegacyPropagation ref = timing::legacy_propagate_arrivals(g);
-  const PropagationResult serial = timing::propagate_arrivals(g);
-  expect_same_vs_legacy(ref, serial);
-
-  for (const size_t threads : {size_t{2}, size_t{4}}) {
-    const std::shared_ptr<exec::Executor> ex = exec::make_executor(threads);
-    PropagationResult par;
-    timing::propagate_arrivals_into(g, {}, par, *ex, LevelParallel::kOn);
-    expect_same_vs_legacy(ref, par);
-  }
+  SCOPED_TRACE("stacked DAG, " + std::to_string(gates) + " gates");
+  expect_sweeps_match_legacy(built.graph);
 }
 
 TEST(LevelSweepDifferential, CriticalityDiagnosticsMatchAcrossSchedules) {
   stats::Rng rng(99);
-  testing::SyntheticGraphSpec spec;
-  spec.num_inputs = 3;
-  spec.num_outputs = 4;
-  spec.width = 24;
-  spec.depth = 5;
-  const TimingGraph g = testing::make_synthetic_graph(spec, rng);
-
-  CriticalityOptions off;
-  off.level_parallel = LevelParallel::kOff;
-  const CriticalityResult serial = core::compute_criticality(g, off);
-  for (const size_t threads : {size_t{2}, size_t{4}}) {
-    const std::shared_ptr<exec::Executor> ex = exec::make_executor(threads);
-    for (const LevelParallel mode :
-         {LevelParallel::kOff, LevelParallel::kOn, LevelParallel::kAuto}) {
-      CriticalityOptions opts;
-      opts.level_parallel = mode;
-      const CriticalityResult crit = core::compute_criticality(g, *ex, opts);
+  const testing::SyntheticGraphSpec mixed{3, 4, 24, 5, 3, 4};
+  for (const testing::SyntheticGraphSpec& spec :
+       {mixed, few_input_wide_spec()}) {
+    const TimingGraph g = testing::make_synthetic_graph(spec, rng);
+    const CriticalityResult serial = core::compute_criticality(g);
+    for (const size_t threads : {size_t{2}, size_t{4}}) {
+      const std::shared_ptr<exec::Executor> ex = exec::make_executor(threads);
+      const CriticalityResult crit = core::compute_criticality(g, *ex);
       EXPECT_EQ(serial.max_criticality, crit.max_criticality);
       expect_same_diag(serial.diagnostics, crit.diagnostics);
     }

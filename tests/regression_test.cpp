@@ -62,35 +62,38 @@ TEST(Regression, MultiplierStructureConstants) {
   EXPECT_EQ(nl.depth(), 148u);
 }
 
-// Golden cross-mode regression: every ISCAS fixture runs the full pipeline
-// through flow::Module under both sweep schedules — the per-input fan-out
-// (level_parallel = off) and the level-synchronous sweeps (on) — at two
-// worker threads, and the complete .hstm extraction output must match byte
-// for byte. Models serialize doubles as hex-floats, so this pins every
-// canonical coefficient of the extracted model, not just summary stats.
+// Golden schedule regression: every ISCAS85 fixture, plus the committed
+// sequential s27, runs the full pipeline through flow::Module under both
+// criticality schedules — a serial input loop (1 thread) and the per-input
+// fan-out (4 threads) — and the complete .hstm extraction output must
+// match byte for byte. Models serialize doubles as hex-floats, so this
+// pins every canonical coefficient of the extracted model (and s27's
+// register and constraint blocks), not just summary stats.
 class IscasSweepModes : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(IscasSweepModes, HstmBytesIdenticalAcrossSweepModes) {
   const std::string& name = GetParam();
-  auto extract_with = [&](timing::LevelParallel mode) {
+  auto extract_with = [&](size_t threads) {
     flow::Config cfg;
-    cfg.threads = 2;
-    cfg.level_parallel = mode;
-    const flow::Module m = flow::Module::from_iscas(name, cfg);
+    cfg.threads = threads;
+    const flow::Module m =
+        name == "s27" ? flow::Module::from_file(
+                            std::string(HSSTA_TESTDATA_DIR) + "/s27.bench", cfg)
+                      : flow::Module::from_iscas(name, cfg);
     std::ostringstream os;
     m.model().save(os);
     return os.str();
   };
-  const std::string fan_out = extract_with(timing::LevelParallel::kOff);
-  const std::string level = extract_with(timing::LevelParallel::kOn);
-  EXPECT_FALSE(fan_out.empty());
-  EXPECT_EQ(fan_out, level);
+  const std::string serial = extract_with(1);
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(serial, extract_with(4));
 }
 
 std::vector<std::string> iscas_names() {
   std::vector<std::string> names;
   for (const netlist::IscasProfile& p : netlist::iscas85_profiles())
     names.push_back(p.name);
+  names.push_back("s27");
   return names;
 }
 

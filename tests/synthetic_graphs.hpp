@@ -29,9 +29,9 @@ struct SyntheticGraphSpec {
   size_t dim = 4;
 };
 
-/// Draw a spec with varying width/depth/fanin from `rng`. Roughly half the
-/// shapes have levels wide enough (>= 16) to cross the level-parallel
-/// fan-out threshold, the rest exercise the narrow inline path.
+/// Draw a spec with varying width/depth/fanin from `rng`: 1-6 inputs (often
+/// fewer than the worker threads of a parallel run), layers 2-41 vertices
+/// wide.
 inline SyntheticGraphSpec random_spec(stats::Rng& rng) {
   SyntheticGraphSpec s;
   s.num_inputs = 1 + rng.uniform_index(6);

@@ -797,8 +797,10 @@ int print_version() {
   return 0;
 }
 
-int usage() {
-  std::fprintf(stderr,
+/// Print the subcommand summary to `out` and return `rc`: stdout and 0 when
+/// asked for (--help), stderr and 2 on a usage error.
+int usage(std::FILE* out = stderr, int rc = 2) {
+  std::fprintf(out,
                "usage:\n"
                "  hssta_cli report  <in.bench|.blif> [flags]\n"
                "  hssta_cli extract <in.bench|.blif> <out.hstm> [flags]\n"
@@ -814,8 +816,9 @@ int usage() {
                "[--json]   static design lint\n"
                "  hssta_cli serve-client <socket> [--script FILE] [--check]\n"
                "  hssta_cli --version\n"
+               "  hssta_cli --help\n"
                "run a subcommand with --help for its flags\n");
-  return 2;
+  return rc;
 }
 
 }  // namespace
@@ -835,6 +838,8 @@ int main(int argc, char** argv) {
     if (cmd == "check") return cmd_check(argc, argv);
     if (cmd == "serve-client") return cmd_serve_client(argc, argv);
     if (cmd == "--version" || cmd == "version") return print_version();
+    if (cmd == "--help" || cmd == "-h" || cmd == "help")
+      return usage(stdout, 0);
     std::fprintf(stderr, "hssta_cli: unknown subcommand '%s'\n", cmd.c_str());
     return usage();
   } catch (const std::exception& e) {
