@@ -1,7 +1,7 @@
 #include "hssta/core/criticality.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <ranges>
 
 #include "hssta/timing/propagate.hpp"
 #include "hssta/timing/statops.hpp"
@@ -9,7 +9,6 @@
 
 namespace hssta::core {
 
-using timing::CanonicalForm;
 using timing::EdgeId;
 using timing::MaxDiagnostics;
 using timing::PropagationResult;
@@ -68,29 +67,27 @@ void fanin_tightness_into(const TimingGraph& g,
 
 /// The batched backward pass's gather schedule. For every vertex u,
 /// edges[offsets[u] .. offsets[u+1]) lists u's live fanout edges in exactly
-/// the order the reference scalar scatter pass (pair_criticalities) would
-/// have accumulated their contributions into vc(u): by sink position in
-/// reverse topological order, then by the sink's fanin-list order. Gathering
-/// in this order reproduces the scatter pass's floating-point sums bit for
-/// bit.
+/// the order the per-(i, j) scalar scatter pass (the test oracle in
+/// tests/oracles.hpp) would have accumulated their contributions into
+/// vc(u): by sink position in reverse topological order, then by the sink's
+/// fanin-list order. Gathering in this order reproduces the scatter pass's
+/// floating-point sums bit for bit.
 struct BackwardPlan {
-  std::vector<VertexId> reverse_order;
   std::vector<size_t> offsets;  ///< per vertex slot (+1), into `edges`
   std::vector<EdgeId> edges;
 };
 
-BackwardPlan make_backward_plan(const TimingGraph& g,
-                                const std::vector<VertexId>& order) {
+BackwardPlan make_backward_plan(const TimingGraph& g) {
+  const auto reverse_order = std::views::reverse(g.topo_order());
   BackwardPlan plan;
-  plan.reverse_order.assign(order.rbegin(), order.rend());
   plan.offsets.assign(g.num_vertex_slots() + 1, 0);
-  for (VertexId v : plan.reverse_order)
+  for (VertexId v : reverse_order)
     for (EdgeId e : g.vertex(v).fanin) ++plan.offsets[g.edge(e).from + 1];
   for (size_t u = 1; u < plan.offsets.size(); ++u)
     plan.offsets[u] += plan.offsets[u - 1];
   plan.edges.resize(plan.offsets.back());
   std::vector<size_t> cursor(plan.offsets.begin(), plan.offsets.end() - 1);
-  for (VertexId v : plan.reverse_order)
+  for (VertexId v : reverse_order)
     for (EdgeId e : g.vertex(v).fanin)
       plan.edges[cursor[g.edge(e).from]++] = e;
   return plan;
@@ -139,7 +136,7 @@ void batched_backward(const TimingGraph& g, const BackwardPlan& plan,
   const size_t num_outs = outs.size();
   reset_frontier(g, num_outs, sc);
   seed_frontier(outs, arrival, num_outs, sc);
-  for (VertexId u : plan.reverse_order) {
+  for (VertexId u : std::views::reverse(g.topo_order())) {
     double* row = sc.vc.data() + static_cast<size_t>(u) * num_outs;
     bool active = sc.row_active[u] != 0;  // a seeded output row stays active
     for (size_t k = plan.offsets[u]; k < plan.offsets[u + 1]; ++k) {
@@ -163,31 +160,6 @@ void batched_backward(const TimingGraph& g, const BackwardPlan& plan,
   }
 }
 
-/// Scalar backward pass for one (input, output) pair — the legacy scatter
-/// reference: distribute vertex criticality over fanin edges by tp and fold
-/// the result into `combine(e, c_ij(e))`. Kept verbatim as the oracle the
-/// batched gather pass is pinned against.
-template <typename Combine>
-void backward_pass(const TimingGraph& g,
-                   const std::vector<VertexId>& reverse_order,
-                   const PropagationResult& arrival, VertexId output,
-                   double prune_epsilon, std::vector<double>& vc,
-                   const std::vector<double>& tp, Combine&& combine) {
-  if (!arrival.valid[output]) return;
-  vc.assign(g.num_vertex_slots(), 0.0);
-  vc[output] = 1.0;
-  for (VertexId v : reverse_order) {
-    const double mass = vc[v];
-    if (mass <= prune_epsilon) continue;
-    for (EdgeId e : g.vertex(v).fanin) {
-      const double c = mass * tp[e];
-      if (c <= 0.0) continue;
-      combine(e, c);
-      vc[g.edge(e).from] += c;
-    }
-  }
-}
-
 }  // namespace
 
 CriticalityResult compute_criticality(const TimingGraph& g,
@@ -200,10 +172,9 @@ CriticalityResult compute_criticality(const TimingGraph& g,
 
   CriticalityResult res;
   res.max_criticality.assign(g.num_edge_slots(), 0.0);
-  if (opts.with_io_delays)
-    res.io_delays = DelayMatrix(ins.size(), outs.size(), g.dim());
+  res.io_delays = DelayMatrix(ins.size(), outs.size(), g.dim());
 
-  const BackwardPlan plan = make_backward_plan(g, g.levels()->order);
+  const BackwardPlan plan = make_backward_plan(g);
 
   // Exclusive spans the reset -> region -> merge sequence so concurrent
   // callers sharing `ex` serialize instead of interleaving workspaces.
@@ -230,11 +201,9 @@ CriticalityResult compute_criticality(const TimingGraph& g,
                        if (c > sc.cm[e]) sc.cm[e] = c;
                      });
 
-    if (opts.with_io_delays) {
-      for (size_t j = 0; j < outs.size(); ++j)
-        if (sc.prop.valid[outs[j]])
-          res.io_delays.set(i, j, sc.prop.time.form(outs[j]));
-    }
+    for (size_t j = 0; j < outs.size(); ++j)
+      if (sc.prop.valid[outs[j]])
+        res.io_delays.set(i, j, sc.prop.time.form(outs[j]));
   });
 
   // Merge the per-worker accumulators. max over doubles and integer sums
@@ -255,29 +224,6 @@ CriticalityResult compute_criticality(const TimingGraph& g,
                                       const CriticalityOptions& opts) {
   exec::SerialExecutor ex;
   return compute_criticality(g, ex, opts);
-}
-
-std::vector<double> pair_criticalities(const TimingGraph& g, size_t input,
-                                       size_t output) {
-  HSSTA_REQUIRE(input < g.inputs().size() && output < g.outputs().size(),
-                "IO index out of range");
-  const std::vector<VertexId> order = g.topo_order();
-  const std::vector<VertexId> reverse_order(order.rbegin(), order.rend());
-  CritScratch sc;
-  const VertexId sources[] = {g.inputs()[input]};
-  timing::propagate_arrivals_into(g, sources, sc.prop);
-  fanin_tightness_into(g, sc.prop, nullptr, sc);
-  std::vector<double> c(g.num_edge_slots(), 0.0);
-  std::vector<double> vc;
-  backward_pass(g, reverse_order, sc.prop, g.outputs()[output], 0.0, vc,
-                sc.tp, [&](EdgeId e, double value) { c[e] += value; });
-  return c;
-}
-
-double edge_pair_criticality(const TimingGraph& g, EdgeId e, size_t input,
-                             size_t output) {
-  HSSTA_REQUIRE(g.edge_alive(e), "criticality of a dead edge");
-  return pair_criticalities(g, input, output)[e];
 }
 
 // Declared in paths.hpp; lives here to share the tightness machinery.

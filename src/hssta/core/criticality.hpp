@@ -22,7 +22,8 @@
 ///     vc_ij(to(e)) * tp_i(e) over u's fanout edges for every j in one
 ///     sweep, folding c_ij(e) into cm(e) on the way. The gather order is
 ///     arranged to reproduce the scalar per-(i, j) scatter pass's
-///     floating-point accumulation exactly (see BackwardPlan in the .cpp),
+///     floating-point accumulation exactly (see BackwardPlan in the .cpp;
+///     the scatter pass survives as the test oracle in tests/oracles.hpp),
 ///     so batching is a pure speedup: one traversal instead of |outputs|.
 ///
 /// By construction the criticalities of any input-output cut sum to 1
@@ -48,9 +49,6 @@ struct CriticalityOptions {
   /// Backward vertex-criticality mass below this threshold is not
   /// propagated further (it can only shrink). 0 disables the cutoff.
   double prune_epsilon = 1e-12;
-  /// Also compute the all-pairs IO delay matrix and return it (the
-  /// extraction pipeline wants both; switch off when only cm is needed).
-  bool with_io_delays = true;
   /// Unused: criticality has one schedule, the per-input fan-out. The field
   /// stays only because perfbench/src/characterize.cpp assigns
   /// flow::Config::level_parallel to it; the next benchmark change deletes
@@ -61,7 +59,7 @@ struct CriticalityOptions {
 struct CriticalityResult {
   /// cm per edge slot (dead edges report 0).
   std::vector<double> max_criticality;
-  /// All-pairs IO delays (empty unless with_io_delays).
+  /// All-pairs IO delays, a by-product of the per-input forward passes.
   DelayMatrix io_delays;
   timing::MaxDiagnostics diagnostics;
 };
@@ -77,18 +75,5 @@ struct CriticalityResult {
 /// Serial convenience overload (runs on a call-local SerialExecutor).
 [[nodiscard]] CriticalityResult compute_criticality(
     const timing::TimingGraph& g, const CriticalityOptions& opts = {});
-
-/// Criticality of one edge for one IO pair (single-pair run of the
-/// reference scalar scatter pass; used by tests and incremental queries).
-[[nodiscard]] double edge_pair_criticality(const timing::TimingGraph& g,
-                                           timing::EdgeId e, size_t input,
-                                           size_t output);
-
-/// All per-edge criticalities for one IO pair (one forward + one backward
-/// pass). Entries of dead edges are 0. This deliberately keeps the legacy
-/// per-(i, j) scalar scatter implementation: it is the reference the
-/// differential tests pin the batched gather pass against, bit for bit.
-[[nodiscard]] std::vector<double> pair_criticalities(
-    const timing::TimingGraph& g, size_t input, size_t output);
 
 }  // namespace hssta::core

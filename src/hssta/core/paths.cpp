@@ -29,15 +29,17 @@ std::vector<CriticalPath> report_critical_paths(const TimingGraph& g,
   const std::vector<double> tp = arrival_tightness(g, arrivals);
 
   // Output tightness: which output port carries the circuit max.
-  std::vector<CanonicalForm> out_arrivals;
   std::vector<VertexId> out_vertices;
-  for (VertexId v : g.outputs()) {
-    if (!arrivals.valid[v]) continue;
-    out_arrivals.push_back(arrivals.time.form(v));
-    out_vertices.push_back(v);
-  }
-  HSSTA_REQUIRE(!out_arrivals.empty(), "no output port was reached");
-  const std::vector<double> out_tp = timing::tightness_split(out_arrivals);
+  for (VertexId v : g.outputs())
+    if (arrivals.valid[v]) out_vertices.push_back(v);
+  HSSTA_REQUIRE(!out_vertices.empty(), "no output port was reached");
+  timing::FormBank out_arrivals(out_vertices.size(), g.dim());
+  for (size_t j = 0; j < out_vertices.size(); ++j)
+    timing::form_copy(out_arrivals.row(j), arrivals.time.row(out_vertices[j]));
+  std::vector<double> out_tp;
+  timing::FormBank split_scratch;
+  timing::tightness_split_into(out_arrivals, out_vertices.size(), out_tp,
+                               split_scratch);
 
   // Best-first backward walk: a state is a partial path (suffix towards its
   // output) scored by the product of tightness probabilities, which only

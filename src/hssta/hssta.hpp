@@ -43,7 +43,6 @@
 #include "hssta/linalg/pca.hpp"
 #include "hssta/mc/flat_mc.hpp"
 #include "hssta/mc/hier_mc.hpp"
-#include "hssta/mc/sampler.hpp"
 #include "hssta/model/extract.hpp"
 #include "hssta/model/reduce.hpp"
 #include "hssta/model/timing_model.hpp"

@@ -366,16 +366,16 @@ void DesignState::propagate_cone(const std::vector<VertexId>& seeds) {
   for (VertexId v : seeds)
     if (g.vertex_alive(v) && !g.vertex(v).is_input) dirty[v] = 1;
 
-  // Walk the levelization and recompute each dirty vertex's arrival from
-  // its (stable, lower-level) fanins with the full sweep's fold. Dirty
+  // Walk the topological order and recompute each dirty vertex's arrival
+  // from its (stable, earlier) fanins with the full sweep's fold. Dirty
   // vertices are never sources, and the cone keeps no max diagnostics. A
   // bit-identical recomputation stops the cone; only genuinely changed
-  // vertices dirty their (strictly higher-level, so later) fanouts.
+  // vertices dirty their (later) fanouts.
   const CanonicalForm zero(st_->total_dim);
   CanonicalForm candidate = zero;
   CanonicalForm next = zero;
   size_t recomputed = 0;
-  for (VertexId v : g.levels()->order) {
+  for (VertexId v : g.topo_order()) {
     if (!dirty[v]) continue;
     ++recomputed;
     const bool has = timing::fold_fanin(g, v, arrivals_, next.view(),

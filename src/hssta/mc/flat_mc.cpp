@@ -190,7 +190,7 @@ IoStats FlatCircuit::sample_io_delays(size_t samples, stats::Rng& rng) const {
     VertexId from, to;
     EdgeId e;
   };
-  const std::vector<VertexId> order = structure_.topo_order();
+  const std::vector<VertexId>& order = structure_.topo_order();
   std::vector<std::vector<ConeEdge>> cone(ins.size());
   std::vector<std::vector<std::pair<size_t, VertexId>>> cone_outs(ins.size());
   {

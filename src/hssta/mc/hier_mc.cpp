@@ -97,20 +97,4 @@ FlatCircuit flatten_design(const HierDesign& design,
   return fc;
 }
 
-stats::EmpiricalDistribution hier_flat_mc(const HierDesign& design,
-                                          size_t samples, uint64_t seed,
-                                          const FlattenOptions& opts) {
-  exec::SerialExecutor ex;
-  return hier_flat_mc(design, samples, seed, ex, opts);
-}
-
-stats::EmpiricalDistribution hier_flat_mc(const HierDesign& design,
-                                          size_t samples, uint64_t seed,
-                                          exec::Executor& ex,
-                                          const FlattenOptions& opts) {
-  const hier::DesignGrid grid = hier::build_design_grid(design);
-  const FlatCircuit fc = flatten_design(design, grid, opts);
-  return fc.sample_delay(samples, seed, ex);
-}
-
 }  // namespace hssta::mc

@@ -22,20 +22,11 @@ struct FlattenOptions {
 };
 
 /// Flatten a design (all instances must carry netlist + module placement)
-/// into a scalar-evaluable circuit over the design grid.
+/// into a scalar-evaluable circuit over the design grid; its sample_delay
+/// draws the design delay distribution (flow::Design::monte_carlo() runs
+/// both steps).
 [[nodiscard]] FlatCircuit flatten_design(const hier::HierDesign& design,
                                          const hier::DesignGrid& grid,
                                          const FlattenOptions& opts = {});
-
-/// Convenience: flatten and sample the design delay distribution.
-[[nodiscard]] stats::EmpiricalDistribution hier_flat_mc(
-    const hier::HierDesign& design, size_t samples, uint64_t seed,
-    const FlattenOptions& opts = {});
-
-/// Same samples with the batch fanned out across `ex` (bit-identical to
-/// the serial overload at every thread count).
-[[nodiscard]] stats::EmpiricalDistribution hier_flat_mc(
-    const hier::HierDesign& design, size_t samples, uint64_t seed,
-    exec::Executor& ex, const FlattenOptions& opts = {});
 
 }  // namespace hssta::mc

@@ -38,6 +38,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,6 +62,13 @@ enum class Verb {
   kCloseSession,
   kShutdown,
 };
+
+/// Longest request line the socket transport accepts, newline excluded.
+/// Requests name model and state files by path, never inline their
+/// contents, so real lines stay orders of magnitude below it. A longer
+/// line is answered with one bad_request naming the limit, and the
+/// connection is closed.
+inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
 
 /// Error codes (the protocol's stable vocabulary).
 inline constexpr const char* kBadRequest = "bad_request";

@@ -4,11 +4,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "hssta/serve/engine.hpp"
+#include "hssta/serve/protocol.hpp"
 #include "hssta/util/error.hpp"
 
 namespace hssta::serve {
@@ -58,7 +61,8 @@ void SocketServer::stop() {
     if (stopping_) return;
     stopping_ = true;
   }
-  // Wake the acceptor, then every reader; join them all.
+  // Wake the acceptor, then every reader (each closes its own connection
+  // on the way out); join them all.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -72,20 +76,9 @@ void SocketServer::stop() {
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     readers.swap(readers_);
+    finished_.clear();
   }
-  for (std::thread& t : readers)
-    if (t.joinable()) t.join();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const std::shared_ptr<Conn>& c : conns_) {
-      std::lock_guard<std::mutex> wl(c->mu);
-      if (c->fd >= 0) {
-        ::close(c->fd);
-        c->fd = -1;
-      }
-    }
-    conns_.clear();
-  }
+  for (std::thread& t : readers) t.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -100,6 +93,7 @@ void SocketServer::accept_loop() {
       if (errno == EINTR) continue;
       return;  // listener shut down (stop()) or fatally broken
     }
+    join_finished_readers();
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -110,6 +104,37 @@ void SocketServer::accept_loop() {
     conns_.push_back(conn);
     readers_.emplace_back([this, conn] { read_loop(conn); });
   }
+}
+
+void SocketServer::join_finished_readers() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    for (const std::thread::id id : finished_) {
+      const auto it =
+          std::find_if(readers_.begin(), readers_.end(),
+                       [id](const std::thread& t) { return t.get_id() == id; });
+      HSSTA_ASSERT(it != readers_.end(), "finished reader was never started");
+      done.push_back(std::move(*it));
+      readers_.erase(it);
+    }
+    finished_.clear();
+  }
+  // Each has left read_loop; joining only waits out its thread exit.
+  for (std::thread& t : done) t.join();
+}
+
+void SocketServer::close_connection(const std::shared_ptr<Conn>& conn) {
+  {
+    std::lock_guard<std::mutex> wl(conn->mu);
+    ::close(conn->fd);
+    conn->fd = -1;
+  }
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  std::erase(conns_, conn);
+  // accept_loop registered this thread under the same lock before it could
+  // get here, so its handle is in readers_ (or stop() has taken it).
+  if (!stopping_) finished_.push_back(std::this_thread::get_id());
 }
 
 void SocketServer::write_line(const std::shared_ptr<Conn>& conn,
@@ -133,25 +158,37 @@ void SocketServer::write_line(const std::shared_ptr<Conn>& conn,
 void SocketServer::read_loop(const std::shared_ptr<Conn>& conn) {
   std::string buffer;
   char chunk[4096];
-  for (;;) {
+  bool too_long = false;
+  while (!too_long) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // EOF or shutdown: connection done
+    if (n <= 0) break;  // EOF, error or stop(): connection done
     buffer.append(chunk, static_cast<size_t>(n));
     size_t start = 0;
     for (size_t nl = buffer.find('\n', start); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
+      if (line.size() > kMaxRequestLineBytes) {
+        too_long = true;
+        break;
+      }
       if (line.empty()) continue;
-      // The callback holds the Conn alive past this reader's exit; the
-      // engine drains every accepted request, so no response is lost.
+      // The callback holds the Conn alive past this reader's exit; once
+      // the connection is closed its response is dropped.
       engine_.submit(std::move(line), [conn](std::string response) {
         write_line(conn, response);
       });
     }
     buffer.erase(0, start);
+    too_long = too_long || buffer.size() > kMaxRequestLineBytes;
   }
+  if (too_long)
+    write_line(conn, error_response(std::nullopt, kBadRequest,
+                                    "request line exceeds the limit of " +
+                                        std::to_string(kMaxRequestLineBytes) +
+                                        " bytes"));
+  close_connection(conn);
 }
 
 }  // namespace hssta::serve

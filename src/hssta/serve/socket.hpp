@@ -14,7 +14,12 @@
 /// Sessions are NOT connection-bound: a client may disconnect and resume
 /// its session id over a new connection; abandoned sessions fall to the
 /// engine's idle-timeout eviction. Connection teardown therefore closes
-/// only the transport, never engine state.
+/// only the transport, never engine state: when a reader sees EOF or an
+/// error (or a request line longer than kMaxRequestLineBytes, answered
+/// with one bad_request first) it closes its fd and drops the connection,
+/// and the acceptor joins finished readers before starting the next one,
+/// so a long-lived daemon holds fds and threads only for open connections.
+/// Responses still in flight for a closed connection are dropped.
 
 #pragma once
 
@@ -47,7 +52,9 @@ class SocketServer {
 
  private:
   /// Shared by a connection's reader thread and the engine callbacks that
-  /// outlive it; writes serialize on `mu`.
+  /// outlive it; writes serialize on `mu`. The reader closes `fd` (under
+  /// `mu`) when it exits, so a late callback sees -1 and drops its
+  /// response.
   struct Conn {
     int fd = -1;
     std::mutex mu;
@@ -55,6 +62,10 @@ class SocketServer {
 
   void accept_loop();
   void read_loop(const std::shared_ptr<Conn>& conn);
+  /// Close `conn`, forget it and mark the calling reader finished.
+  void close_connection(const std::shared_ptr<Conn>& conn);
+  /// Join the readers that have marked themselves finished.
+  void join_finished_readers();
   static void write_line(const std::shared_ptr<Conn>& conn,
                          const std::string& line);
 
@@ -64,8 +75,9 @@ class SocketServer {
   std::thread acceptor_;
 
   std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Conn>> conns_;
-  std::vector<std::thread> readers_;
+  std::vector<std::shared_ptr<Conn>> conns_;   ///< open connections
+  std::vector<std::thread> readers_;           ///< not yet joined
+  std::vector<std::thread::id> finished_;      ///< readers past their loop
   bool stopping_ = false;
 };
 

@@ -26,7 +26,7 @@ TimingGraph::TimingGraph(const TimingGraph& other)
       outputs_(other.outputs_),
       live_vertices_(other.live_vertices_),
       live_edges_(other.live_edges_),
-      levels_(other.cached_levels()) {}
+      order_(other.cached_order()) {}
 
 TimingGraph& TimingGraph::operator=(const TimingGraph& other) {
   if (this == &other) return *this;
@@ -40,7 +40,7 @@ TimingGraph& TimingGraph::operator=(const TimingGraph& other) {
   outputs_ = other.outputs_;
   live_vertices_ = other.live_vertices_;
   live_edges_ = other.live_edges_;
-  levels_ = other.cached_levels();
+  order_ = other.cached_order();
   return *this;
 }
 
@@ -55,7 +55,7 @@ TimingGraph::TimingGraph(TimingGraph&& other) noexcept
       outputs_(std::move(other.outputs_)),
       live_vertices_(other.live_vertices_),
       live_edges_(other.live_edges_),
-      levels_(std::move(other.levels_)) {}
+      order_(std::move(other.order_)) {}
 
 TimingGraph& TimingGraph::operator=(TimingGraph&& other) noexcept {
   if (this == &other) return *this;
@@ -69,7 +69,7 @@ TimingGraph& TimingGraph::operator=(TimingGraph&& other) noexcept {
   outputs_ = std::move(other.outputs_);
   live_vertices_ = other.live_vertices_;
   live_edges_ = other.live_edges_;
-  levels_ = std::move(other.levels_);
+  order_ = std::move(other.order_);
   return *this;
 }
 
@@ -82,9 +82,9 @@ void TimingGraph::reset_space(
   space_ = std::move(space);
 }
 
-void TimingGraph::invalidate_levels() {
-  const std::lock_guard<std::mutex> lock(levels_mu_);
-  levels_.reset();
+void TimingGraph::invalidate_order() {
+  const std::lock_guard<std::mutex> lock(order_mu_);
+  order_.reset();
 }
 
 VertexId TimingGraph::add_vertex(std::string name, bool is_input,
@@ -96,7 +96,7 @@ VertexId TimingGraph::add_vertex(std::string name, bool is_input,
   ++live_vertices_;
   if (is_input) inputs_.push_back(v);
   if (is_output) outputs_.push_back(v);
-  invalidate_levels();
+  invalidate_order();
   return v;
 }
 
@@ -112,7 +112,7 @@ EdgeId TimingGraph::add_edge(VertexId from, VertexId to, CanonicalForm delay) {
   ++live_edges_;
   vertices_[from].fanout.push_back(e);
   vertices_[to].fanin.push_back(e);
-  invalidate_levels();
+  invalidate_order();
   return e;
 }
 
@@ -128,7 +128,7 @@ void TimingGraph::remove_edge(EdgeId e) {
   detach(vertices_[te.to].fanin);
   edge_alive_[e] = 0;
   --live_edges_;
-  invalidate_levels();
+  invalidate_order();
 }
 
 void TimingGraph::remove_vertex(VertexId v) {
@@ -139,7 +139,7 @@ void TimingGraph::remove_vertex(VertexId v) {
                 "vertex still has live edges");
   vertex_alive_[v] = 0;
   --live_vertices_;
-  invalidate_levels();
+  invalidate_order();
 }
 
 bool TimingGraph::vertex_alive(VertexId v) const {
@@ -148,11 +148,6 @@ bool TimingGraph::vertex_alive(VertexId v) const {
 
 bool TimingGraph::edge_alive(EdgeId e) const {
   return e < edges_.size() && edge_alive_[e] != 0;
-}
-
-TimingVertex& TimingGraph::vertex(VertexId v) {
-  HSSTA_REQUIRE(vertex_alive(v), "access to dead vertex");
-  return vertices_[v];
 }
 
 const TimingVertex& TimingGraph::vertex(VertexId v) const {
@@ -176,7 +171,10 @@ VertexId TimingGraph::find_vertex(const std::string& name) const {
   return kNoVertex;
 }
 
-std::vector<VertexId> TimingGraph::topo_order() const {
+const std::vector<VertexId>& TimingGraph::topo_order() const {
+  const std::lock_guard<std::mutex> lock(order_mu_);
+  if (order_) return *order_;
+
   std::vector<size_t> pending(vertices_.size(), 0);
   std::vector<VertexId> ready;
   ready.reserve(live_vertices_);
@@ -196,46 +194,17 @@ std::vector<VertexId> TimingGraph::topo_order() const {
       if (--pending[w] == 0) ready.push_back(w);
     }
   }
+  // Throws before caching: a cyclic graph keeps no order.
   HSSTA_REQUIRE(order.size() == live_vertices_,
                 "timing graph contains a cycle");
-  return order;
+  order_ = std::make_shared<const std::vector<VertexId>>(std::move(order));
+  return *order_;
 }
 
-std::shared_ptr<const LevelStructure> TimingGraph::cached_levels() const {
-  const std::lock_guard<std::mutex> lock(levels_mu_);
-  return levels_;
-}
-
-std::shared_ptr<const LevelStructure> TimingGraph::levels() const {
-  const std::lock_guard<std::mutex> lock(levels_mu_);
-  if (levels_) return levels_;
-
-  auto ls = std::make_shared<LevelStructure>();
-  ls->order = topo_order();  // throws on cycles before any state is touched
-  ls->level_of.assign(vertices_.size(), kNoLevel);
-  for (VertexId v : ls->order) {
-    uint32_t level = 0;
-    for (EdgeId e : vertices_[v].fanin) {
-      const uint32_t from_level = ls->level_of[edges_[e].from];
-      HSSTA_ASSERT(from_level != kNoLevel, "levelization out of order");
-      level = std::max(level, from_level + 1);
-    }
-    ls->level_of[v] = level;
-  }
-  // Kahn's ready queue pops levels in nondecreasing order (a vertex of
-  // level l+1 is enqueued while level <= l pops are still draining), so the
-  // buckets are contiguous runs of `order`.
-  ls->offsets.push_back(0);
-  for (size_t k = 1; k < ls->order.size(); ++k) {
-    const uint32_t prev = ls->level_of[ls->order[k - 1]];
-    const uint32_t cur = ls->level_of[ls->order[k]];
-    HSSTA_ASSERT(cur >= prev, "topo order not level-sorted");
-    if (cur != prev) ls->offsets.push_back(k);
-  }
-  if (!ls->order.empty()) ls->offsets.push_back(ls->order.size());
-
-  levels_ = std::move(ls);
-  return levels_;
+std::shared_ptr<const std::vector<VertexId>> TimingGraph::cached_order()
+    const {
+  const std::lock_guard<std::mutex> lock(order_mu_);
+  return order_;
 }
 
 std::vector<uint8_t> TimingGraph::reachable_from(VertexId v) const {

@@ -12,7 +12,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -25,35 +24,12 @@ using VertexId = uint32_t;
 using EdgeId = uint32_t;
 inline constexpr VertexId kNoVertex = std::numeric_limits<VertexId>::max();
 inline constexpr EdgeId kNoEdge = std::numeric_limits<EdgeId>::max();
-inline constexpr uint32_t kNoLevel = std::numeric_limits<uint32_t>::max();
 
 /// A sweep-schedule selector with the single value kAuto: every sweep has
 /// one schedule, and nothing reads it. It is only the type of the two
 /// unused fields flow::Config::level_parallel and
 /// core::CriticalityOptions::level_parallel (see there).
 enum class LevelParallel { kAuto };
-
-/// Levelization of the live graph: level(v) = 0 for fanin-free vertices,
-/// otherwise 1 + max level over fanin sources, so every live edge goes to a
-/// strictly higher level. `order` equals topo_order() exactly (Kahn's ready
-/// queue pops levels in nondecreasing order), and the buckets partition it
-/// contiguously — bucket l is the span order[offsets[l], offsets[l+1]).
-/// Vertices within one level share no edges. The incremental cone sweep
-/// walks `order` to visit only dirty vertices in topological order, and
-/// criticality derives its backward gather plan from it.
-struct LevelStructure {
-  std::vector<VertexId> order;    ///< == topo_order(), grouped by level
-  std::vector<size_t> offsets;    ///< bucket boundaries; size num_levels()+1
-  std::vector<uint32_t> level_of; ///< per vertex slot; kNoLevel when dead
-
-  [[nodiscard]] size_t num_levels() const {
-    return offsets.empty() ? 0 : offsets.size() - 1;
-  }
-  [[nodiscard]] std::span<const VertexId> bucket(size_t level) const {
-    return std::span<const VertexId>(order).subspan(
-        offsets[level], offsets[level + 1] - offsets[level]);
-  }
-};
 
 struct TimingVertex {
   std::string name;
@@ -78,8 +54,8 @@ class TimingGraph {
   /// fixtures).
   explicit TimingGraph(size_t dim);
 
-  /// Copies share the (immutable) levelization cache; moves transfer it.
-  /// Spelled out because the cache guard mutex is neither.
+  /// Copies share the (immutable) topological-order cache; moves transfer
+  /// it. Spelled out because the cache guard mutex is neither.
   TimingGraph(const TimingGraph& other);
   TimingGraph& operator=(const TimingGraph& other);
   TimingGraph(TimingGraph&& other) noexcept;
@@ -119,7 +95,8 @@ class TimingGraph {
   [[nodiscard]] bool vertex_alive(VertexId v) const;
   [[nodiscard]] bool edge_alive(EdgeId e) const;
 
-  [[nodiscard]] TimingVertex& vertex(VertexId v);
+  /// Read-only: adjacency changes go through the mutators above, which
+  /// keep the cached topological order in step.
   [[nodiscard]] const TimingVertex& vertex(VertexId v) const;
   [[nodiscard]] TimingEdge& edge(EdgeId e);
   [[nodiscard]] const TimingEdge& edge(EdgeId e) const;
@@ -135,16 +112,17 @@ class TimingGraph {
 
   /// --- analysis -------------------------------------------------------------
 
-  /// Live vertices in topological order; throws on cycles.
-  [[nodiscard]] std::vector<VertexId> topo_order() const;
-
-  /// Cached levelization (see LevelStructure); built on first use, shared
-  /// until the next mutation invalidates it, throws on cycles. The returned
-  /// snapshot stays valid (and consistent) even if the graph is mutated
-  /// afterwards — callers hold the shared_ptr for as long as they sweep.
-  /// Thread-safe against concurrent levels()/topo_order() readers; like
-  /// every other accessor it must not race with mutation.
-  [[nodiscard]] std::shared_ptr<const LevelStructure> levels() const;
+  /// Live vertices in topological order (Kahn's algorithm: fanin-free
+  /// vertices in slot order first, then each vertex once its last fanin has
+  /// been emitted); throws on cycles. Every sweep walks this one order —
+  /// reverse sweeps iterate it backwards. Built on first use and cached:
+  /// copies of the graph share the cache, and add_vertex, add_edge,
+  /// remove_edge and remove_vertex drop it. Like a container's iterators,
+  /// the reference stays valid until the next such mutation; edge delay
+  /// writes and reset_space keep it. Thread-safe against concurrent const
+  /// readers (one of them builds, all see the same vector); like every
+  /// other accessor it must not race with mutation.
+  [[nodiscard]] const std::vector<VertexId>& topo_order() const;
 
   /// vertex-indexed flags: reachable from `v` along live edges (v included).
   [[nodiscard]] std::vector<uint8_t> reachable_from(VertexId v) const;
@@ -156,11 +134,13 @@ class TimingGraph {
   void validate() const;
 
  private:
-  /// Drop the cached levelization (called by every mutation).
-  void invalidate_levels();
+  /// Drop the cached topological order (called by every structural
+  /// mutation).
+  void invalidate_order();
   /// The current cache, possibly null — copies share it without forcing a
   /// build.
-  [[nodiscard]] std::shared_ptr<const LevelStructure> cached_levels() const;
+  [[nodiscard]] std::shared_ptr<const std::vector<VertexId>> cached_order()
+      const;
 
   std::shared_ptr<const variation::VariationSpace> space_;
   size_t dim_ = 0;
@@ -173,11 +153,11 @@ class TimingGraph {
   size_t live_vertices_ = 0;
   size_t live_edges_ = 0;
 
-  /// Lazily built levelization; guarded so concurrent const readers share
-  /// one build. An immutable snapshot: mutation replaces the pointer, never
-  /// the pointed-to structure.
-  mutable std::mutex levels_mu_;
-  mutable std::shared_ptr<const LevelStructure> levels_;
+  /// Lazily built topological order; guarded so concurrent const readers
+  /// share one build. Immutable once built: mutation drops the pointer,
+  /// never edits the pointed-to vector, so copies can share it.
+  mutable std::mutex order_mu_;
+  mutable std::shared_ptr<const std::vector<VertexId>> order_;
 };
 
 }  // namespace hssta::timing

@@ -1,9 +1,10 @@
 /// \file propagate.hpp
 /// Block-based arrival-time propagation (paper Section II): a single
 /// topological sweep folding statistical sum along edges and statistical
-/// max at multi-fanin vertices. The backward variant computes, for one
-/// sink, the maximum remaining delay from every vertex to that sink — the
-/// "required time" ingredient of the criticality computation (Section IV.B).
+/// max at multi-fanin vertices. The backward variant walks the same order
+/// backwards and computes the maximum remaining delay from every vertex to
+/// a set of sinks — the "required time" ingredient of the criticality
+/// computation (Section IV.B).
 
 #pragma once
 
@@ -70,35 +71,10 @@ void propagate_required_into(const TimingGraph& g,
                              std::span<const VertexId> sinks,
                              PropagationResult& r);
 
-/// Backward propagation: time[v] = statistical max delay from v to `sink`
-/// over all live paths; time[sink] = 0.
-[[nodiscard]] PropagationResult propagate_to_sink(const TimingGraph& g,
-                                                  VertexId sink);
-
 /// Statistical max of the arrival times over all output ports (the module /
 /// design delay distribution). Throws if no output is reached.
 [[nodiscard]] CanonicalForm circuit_delay(const TimingGraph& g,
                                           const PropagationResult& arrivals,
                                           MaxDiagnostics* diag = nullptr);
-
-/// --- legacy per-vertex reference engine ----------------------------------
-/// The pre-FormBank storage and fold: one heap CanonicalForm per vertex, a
-/// fresh coefficient vector allocated by every pairwise max. Kept (serial
-/// only) as the oracle the flat engine is pinned against — the differential
-/// fuzz harness and the propagate bench both assert bit-identity between
-/// the two, so a kernel or layout regression in the flat path cannot land
-/// silently. Not for production use: this is exactly the allocation-bound
-/// code path the FormBank rewrite retired.
-struct LegacyPropagation {
-  std::vector<CanonicalForm> time;  ///< indexed by VertexId slot
-  std::vector<uint8_t> valid;
-  MaxDiagnostics diagnostics;
-};
-
-[[nodiscard]] LegacyPropagation legacy_propagate_arrivals(
-    const TimingGraph& g, std::span<const VertexId> sources = {});
-
-[[nodiscard]] LegacyPropagation legacy_propagate_required(
-    const TimingGraph& g, std::span<const VertexId> sinks = {});
 
 }  // namespace hssta::timing

@@ -1,6 +1,7 @@
 #include "hssta/timing/sta.hpp"
 
 #include <algorithm>
+#include <ranges>
 
 #include "hssta/util/error.hpp"
 
@@ -63,11 +64,10 @@ ScalarArrivals required_times(const TimingGraph& g,
     r.time[v] = required_at_outputs;
     r.valid[v] = 1;
   }
-  // required[v] = min over fanout of required[to] - delay; an output port
-  // stays clamped at the deadline it was seeded with.
-  std::vector<VertexId> order = g.topo_order();
-  std::reverse(order.begin(), order.end());
-  for (VertexId v : order) {
+  // required[v] = min over fanout of required[to] - delay, walking the
+  // topological order backwards; an output port stays clamped at the
+  // deadline it was seeded with.
+  for (VertexId v : std::views::reverse(g.topo_order())) {
     bool has = r.valid[v] != 0;
     double best = r.time[v];
     for (EdgeId e : g.vertex(v).fanout) {

@@ -131,45 +131,6 @@ CanonicalForm statistical_max(std::span<const CanonicalForm> xs,
   return acc;
 }
 
-std::vector<double> tightness_split(std::span<const CanonicalForm> xs,
-                                    MaxDiagnostics* diag) {
-  HSSTA_REQUIRE(!xs.empty(), "tightness split of an empty set");
-  const size_t k = xs.size();
-  if (k == 1) return {1.0};
-  if (k == 2) {
-    const double t = tightness_probability(xs[0], xs[1]);
-    return {t, 1.0 - t};
-  }
-  // Leave-one-out maxima via prefix/suffix folds.
-  std::vector<CanonicalForm> prefix(xs.begin(), xs.end());
-  std::vector<CanonicalForm> suffix(xs.begin(), xs.end());
-  for (size_t t = 1; t < k; ++t)
-    prefix[t] = statistical_max(prefix[t - 1], xs[t], diag);
-  for (size_t t = k - 1; t-- > 0;)
-    suffix[t] = statistical_max(suffix[t + 1], xs[t], diag);
-  std::vector<double> tp(k, 0.0);
-  double sum = 0.0;
-  for (size_t t = 0; t < k; ++t) {
-    double p;
-    if (t == 0) {
-      p = tightness_probability(xs[0], suffix[1]);
-    } else if (t + 1 == k) {
-      p = tightness_probability(xs[k - 1], prefix[k - 2]);
-    } else {
-      const CanonicalForm others =
-          statistical_max(prefix[t - 1], suffix[t + 1], diag);
-      p = tightness_probability(xs[t], others);
-    }
-    tp[t] = p;
-    sum += p;
-  }
-  if (sum > 0.0)
-    for (double& p : tp) p /= sum;
-  else
-    for (double& p : tp) p = 1.0 / static_cast<double>(k);
-  return tp;
-}
-
 void tightness_split_into(const FormBank& xs, size_t count,
                           std::vector<double>& tp, FormBank& scratch,
                           MaxDiagnostics* diag) {
@@ -189,7 +150,7 @@ void tightness_split_into(const FormBank& xs, size_t count,
   }
   // Leave-one-out maxima via prefix/suffix folds, kept in `scratch`: rows
   // [0, k) hold the prefix maxima, [k, 2k) the suffix maxima, row 2k the
-  // per-entry "everything else" fold. Same fold order as tightness_split.
+  // per-entry "everything else" fold.
   if (scratch.rows() < 2 * k + 1 || scratch.dim() != xs.dim())
     scratch.reset(2 * k + 1, xs.dim());
   form_copy(scratch.row(0), xs.row(0));

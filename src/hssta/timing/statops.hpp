@@ -10,11 +10,10 @@
 ///    the correlated part — a known property of the approximation, counted
 ///    in MaxDiagnostics).
 ///
-/// The primitives come in two flavors sharing one implementation: view
-/// kernels (`statistical_max_into`, `tightness_split_into`) that write into
+/// The kernels (`statistical_max_into`, `tightness_split_into`) write into
 /// caller-owned storage — FormBank rows or a CanonicalForm's own fields —
-/// without allocating, and CanonicalForm wrappers that delegate to them.
-/// Results are bit-identical across both, by construction.
+/// without allocating; the CanonicalForm max wrappers delegate to them, so
+/// results are bit-identical across both by construction.
 
 #pragma once
 
@@ -66,17 +65,12 @@ void statistical_max_accumulate(CanonicalForm& acc, const CanonicalForm& b,
 [[nodiscard]] CanonicalForm statistical_max(std::span<const CanonicalForm> xs,
                                             MaxDiagnostics* diag = nullptr);
 
-/// Probability that each entry is the maximum of the set: leave-one-out
-/// tightness probabilities (prefix/suffix Clark folds), renormalized to
-/// sum to exactly 1. Throws on an empty span.
-[[nodiscard]] std::vector<double> tightness_split(
-    std::span<const CanonicalForm> xs, MaxDiagnostics* diag = nullptr);
-
-/// Allocation-free twin of tightness_split over the first `count` rows of
-/// `xs`: writes the renormalized leave-one-out probabilities into `tp`
-/// (resized to `count`) and keeps the prefix/suffix folds in `scratch`
-/// (reshaped as needed; reusable across calls, so a warm caller allocates
-/// nothing). Bit-identical to tightness_split on the same forms.
+/// Probability that each of the first `count` rows of `xs` is the maximum
+/// of the set: leave-one-out tightness probabilities (prefix/suffix Clark
+/// folds), renormalized to sum to exactly 1, written into `tp` (resized to
+/// `count`). The folds live in `scratch` (reshaped as needed; reusable
+/// across calls, so a warm caller allocates nothing). Throws when `count`
+/// is 0 or exceeds the rows of `xs`.
 void tightness_split_into(const FormBank& xs, size_t count,
                           std::vector<double>& tp, FormBank& scratch,
                           MaxDiagnostics* diag = nullptr);

@@ -15,6 +15,7 @@
 #include "hssta/timing/builder.hpp"
 #include "hssta/util/error.hpp"
 #include "hssta/variation/space.hpp"
+#include "oracles.hpp"
 
 namespace hssta::core {
 namespace {

@@ -21,9 +21,9 @@
 #include "hssta/exec/queue.hpp"
 #include "hssta/mc/flat_mc.hpp"
 #include "hssta/mc/hier_mc.hpp"
-#include "hssta/mc/sampler.hpp"
 #include "hssta/model/extract.hpp"
 #include "hssta/util/error.hpp"
+#include "oracles.hpp"
 
 namespace hssta {
 namespace {
@@ -245,8 +245,11 @@ TEST_F(ParallelDeterminism, MonteCarloQuantilesBitExact) {
 
 TEST_F(ParallelDeterminism, HierMcBitExact) {
   const hier::HierDesign design = testing::make_quad_design(m_);
-  const auto a = mc::hier_flat_mc(design, 301, 11);
-  const auto b = mc::hier_flat_mc(design, 301, 11, pool_);
+  const mc::FlatCircuit fc =
+      mc::flatten_design(design, hier::build_design_grid(design));
+  exec::SerialExecutor serial;
+  const auto a = fc.sample_delay(301, 11, serial);
+  const auto b = fc.sample_delay(301, 11, pool_);
   EXPECT_EQ(a.sorted(), b.sorted());
 }
 

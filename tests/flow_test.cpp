@@ -167,7 +167,10 @@ TEST(FlowDesign, MatchesHandWiredHierAnalysis) {
   // Monte Carlo runs because both instances carry their netlists, and
   // matches the subsystem flattener.
   EXPECT_TRUE(d.can_monte_carlo());
-  const stats::EmpiricalDistribution ref_mc = mc::hier_flat_mc(ref, 300, 11);
+  stats::Rng rng(11);
+  const stats::EmpiricalDistribution ref_mc =
+      mc::flatten_design(ref, hier::build_design_grid(ref))
+          .sample_delay(300, rng);
   const stats::EmpiricalDistribution& got_mc =
       d.monte_carlo(McOptions{300, 11});
   EXPECT_EQ(got_mc.mean(), ref_mc.mean());

@@ -108,7 +108,9 @@ TEST(Integration, HierarchicalPipelineAgainstMonteCarloTwoModuleTypes) {
   mc::FlattenOptions fopts;
   fopts.load_aware_boundary = true;
   fopts.interconnect_delay = 0.02;
-  const auto mcd = mc::hier_flat_mc(d, 5000, 9, fopts);
+  stats::Rng rng(9);
+  const auto mcd = mc::flatten_design(d, hier::build_design_grid(d), fopts)
+                       .sample_delay(5000, rng);
 
   EXPECT_NEAR(hier.delay().nominal(), mcd.mean(), 0.035 * mcd.mean());
   EXPECT_NEAR(hier.delay().sigma(), mcd.stddev(), 0.15 * mcd.stddev());
@@ -123,8 +125,11 @@ TEST(Integration, ReducedSampleQuadMatchesAcrossSeeds) {
   EXPECT_DOUBLE_EQ(h1.delay().nominal(), h2.delay().nominal());
   EXPECT_DOUBLE_EQ(h1.delay().sigma(), h2.delay().sigma());
 
-  const auto mc1 = mc::hier_flat_mc(d, 1500, 1);
-  const auto mc2 = mc::hier_flat_mc(d, 1500, 2);
+  const mc::FlatCircuit fc = mc::flatten_design(d, hier::build_design_grid(d));
+  stats::Rng rng1(1);
+  stats::Rng rng2(2);
+  const auto mc1 = fc.sample_delay(1500, rng1);
+  const auto mc2 = fc.sample_delay(1500, rng2);
   EXPECT_NE(mc1.mean(), mc2.mean());
   EXPECT_NEAR(mc1.mean(), mc2.mean(), 0.05 * mc1.mean());
 }

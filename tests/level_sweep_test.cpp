@@ -3,11 +3,11 @@
 // stats::Rng) plus a few-input wide DAG — fewer inputs than worker
 // threads, so the per-input fan-out leaves threads idle —
 //  * the flat FormBank sweeps must be BIT-identical to the legacy
-//    per-vertex engine (timing::legacy_propagate_*);
+//    per-vertex engine (timing::legacy_propagate_*, oracles.hpp);
 //  * the batched criticality gather pass must be BIT-identical to the
-//    per-(i, j) scalar scatter pass (pair_criticalities) it replaces in
-//    production; any rounding difference between the two is a bug, not
-//    noise;
+//    per-(i, j) scalar scatter pass (pair_criticalities, oracles.hpp) it
+//    replaces in production; any rounding difference between the two is a
+//    bug, not noise;
 //  * criticality, all-pairs IO delays and their max diagnostics must be
 //    BIT-identical at 1 / 2 / 4 threads.
 
@@ -26,6 +26,7 @@
 #include "hssta/timing/builder.hpp"
 #include "hssta/timing/propagate.hpp"
 #include "hssta/timing/sta.hpp"
+#include "oracles.hpp"
 #include "synthetic_graphs.hpp"
 
 namespace hssta {
@@ -154,11 +155,11 @@ void expect_sweeps_match_legacy(const TimingGraph& g) {
 }
 
 // The flat bank engine against the retired per-vertex engine (kept verbatim
-// as timing::legacy_propagate_*): across the same 50-DAG corpus, forward
-// and backward sweeps must be BIT-identical, and the flat tightness split
-// (the criticality kernel) must match the legacy span-based split at every
-// multi-fanin vertex. This pins the SoA kernels against the original
-// arithmetic, not against themselves.
+// in oracles.hpp as timing::legacy_propagate_*): across the same 50-DAG
+// corpus, forward and backward sweeps must be BIT-identical, and the flat
+// tightness split (the criticality kernel) must match the legacy span-based
+// split at every multi-fanin vertex. This pins the SoA kernels against the
+// original arithmetic, not against themselves.
 TEST(LevelSweepDifferential, FlatBankMatchesLegacyPerVertexEngine) {
   stats::Rng rng(0xF1A7BA22ull);
   const size_t kGraphs = 50;

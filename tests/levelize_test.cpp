@@ -1,16 +1,26 @@
-// Property tests for TimingGraph::levels(): the cached levelization the
-// level-synchronous sweeps are built on. Pinned invariants: every live edge
-// goes to a strictly higher level, the buckets partition topo_order()
-// exactly, levels equal longest-path depth, cycles are rejected, and the
-// cache invalidates on mutation while handed-out snapshots stay intact.
+// Property tests for TimingGraph::topo_order(): the one cached topological
+// order every sweep walks (forwards, or backwards for the required-time and
+// criticality passes). Pinned invariants: the order lists exactly the live
+// vertices, every live edge goes forward in it, it equals Kahn's algorithm
+// recomputed from scratch, cycles throw and cache nothing, and the cache is
+// stable across calls, shared by copies (and by concurrent first callers),
+// replaced by each of the four structural mutations and kept by edge-delay
+// writes and reset_space.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <latch>
+#include <memory>
+#include <thread>
+#include <vector>
 
+#include "hssta/placement/placement.hpp"
 #include "hssta/timing/graph.hpp"
 #include "hssta/util/error.hpp"
+#include "hssta/variation/grid.hpp"
+#include "hssta/variation/parameters.hpp"
+#include "hssta/variation/space.hpp"
 #include "synthetic_graphs.hpp"
 
 namespace hssta {
@@ -18,78 +28,77 @@ namespace {
 
 using timing::CanonicalForm;
 using timing::EdgeId;
-using timing::kNoLevel;
-using timing::LevelStructure;
 using timing::TimingGraph;
 using timing::VertexId;
 
-CanonicalForm unit_delay() {
-  CanonicalForm f(0);
+CanonicalForm unit_delay(size_t dim = 0) {
+  CanonicalForm f(dim);
   f.set_nominal(1.0);
   return f;
 }
 
-void expect_valid_levelization(const TimingGraph& g) {
-  const std::shared_ptr<const LevelStructure> ls = g.levels();
-  const std::vector<VertexId> topo = g.topo_order();
-
-  // The concatenated buckets are exactly topo_order() (and therefore the
-  // union of buckets equals it as a set).
-  EXPECT_EQ(ls->order, topo);
-  ASSERT_EQ(ls->offsets.empty() ? 0 : ls->offsets.front(), 0u);
-  if (!ls->order.empty()) {
-    ASSERT_EQ(ls->offsets.back(), ls->order.size());
-    EXPECT_TRUE(std::is_sorted(ls->offsets.begin(), ls->offsets.end()));
+/// Kahn's algorithm from scratch: the fanin-free live vertices in slot
+/// order, then each vertex as soon as its last fanin has been emitted.
+std::vector<VertexId> kahn_reference(const TimingGraph& g) {
+  std::vector<size_t> pending(g.num_vertex_slots(), 0);
+  std::vector<VertexId> order;
+  for (VertexId v = 0; v < g.num_vertex_slots(); ++v) {
+    if (!g.vertex_alive(v)) continue;
+    pending[v] = g.vertex(v).fanin.size();
+    if (pending[v] == 0) order.push_back(v);
   }
-  std::set<VertexId> in_buckets;
-  for (size_t l = 0; l < ls->num_levels(); ++l) {
-    EXPECT_GT(ls->bucket(l).size(), 0u) << "empty bucket " << l;
-    for (VertexId v : ls->bucket(l)) {
-      EXPECT_EQ(ls->level_of[v], l);
-      in_buckets.insert(v);
-    }
-  }
-  EXPECT_EQ(in_buckets.size(), topo.size());
-  EXPECT_EQ(in_buckets, std::set<VertexId>(topo.begin(), topo.end()));
+  for (size_t head = 0; head < order.size(); ++head)
+    for (EdgeId e : g.vertex(order[head]).fanout)
+      if (--pending[g.edge(e).to] == 0) order.push_back(g.edge(e).to);
+  return order;
+}
 
-  // Every live edge increases the level strictly.
+size_t position(const TimingGraph& g, VertexId v) {
+  const std::vector<VertexId>& order = g.topo_order();
+  return static_cast<size_t>(std::find(order.begin(), order.end(), v) -
+                             order.begin());
+}
+
+void expect_valid_order(const TimingGraph& g) {
+  const std::vector<VertexId>& order = g.topo_order();
+
+  // Exactly the live vertices, each once.
+  std::vector<VertexId> live;
+  for (VertexId v = 0; v < g.num_vertex_slots(); ++v)
+    if (g.vertex_alive(v)) live.push_back(v);
+  std::vector<VertexId> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, live);
+
+  // Every live edge goes forward.
+  std::vector<size_t> pos(g.num_vertex_slots(), order.size());
+  for (size_t k = 0; k < order.size(); ++k) pos[order[k]] = k;
   for (EdgeId e = 0; e < g.num_edge_slots(); ++e) {
     if (!g.edge_alive(e)) continue;
-    EXPECT_LT(ls->level_of[g.edge(e).from], ls->level_of[g.edge(e).to]);
+    EXPECT_LT(pos[g.edge(e).from], pos[g.edge(e).to]) << "edge " << e;
   }
 
-  // level_of is the longest-path depth: 0 without fanin, else 1 + max over
-  // fanin sources (reference DP over the topo order).
-  std::vector<uint32_t> ref(g.num_vertex_slots(), kNoLevel);
-  for (VertexId v : topo) {
-    uint32_t level = 0;
-    for (EdgeId e : g.vertex(v).fanin)
-      level = std::max(level, ref[g.edge(e).from] + 1);
-    ref[v] = level;
-  }
-  EXPECT_EQ(ls->level_of, ref);
+  EXPECT_EQ(order, kahn_reference(g));
+}
 
-  // Dead slots carry no level.
-  for (VertexId v = 0; v < g.num_vertex_slots(); ++v)
-    if (!g.vertex_alive(v)) EXPECT_EQ(ls->level_of[v], kNoLevel);
+std::shared_ptr<const variation::VariationSpace> one_grid_space() {
+  const variation::GridPartition part(placement::Die{10.0, 10.0}, 1, 1);
+  return std::make_shared<const variation::VariationSpace>(
+      variation::default_90nm_parameters(), part.geometry(),
+      variation::SpatialCorrelationConfig{});
 }
 
 TEST(Levelize, EmptyGraph) {
   const TimingGraph g(3);
-  const auto ls = g.levels();
-  EXPECT_EQ(ls->num_levels(), 0u);
-  EXPECT_TRUE(ls->order.empty());
+  EXPECT_TRUE(g.topo_order().empty());
+  expect_valid_order(g);
 }
 
 TEST(Levelize, SingleVertex) {
   TimingGraph g(0);
   const VertexId v = g.add_vertex("only", true, true);
-  const auto ls = g.levels();
-  ASSERT_EQ(ls->num_levels(), 1u);
-  ASSERT_EQ(ls->bucket(0).size(), 1u);
-  EXPECT_EQ(ls->bucket(0)[0], v);
-  EXPECT_EQ(ls->level_of[v], 0u);
-  expect_valid_levelization(g);
+  EXPECT_EQ(g.topo_order(), std::vector<VertexId>{v});
+  expect_valid_order(g);
 }
 
 TEST(Levelize, DiamondGraph) {
@@ -102,18 +111,17 @@ TEST(Levelize, DiamondGraph) {
   g.add_edge(a, c, unit_delay());
   g.add_edge(b, d, unit_delay());
   g.add_edge(c, d, unit_delay());
-  const auto ls = g.levels();
-  ASSERT_EQ(ls->num_levels(), 3u);
-  EXPECT_EQ(ls->level_of[a], 0u);
-  EXPECT_EQ(ls->level_of[b], 1u);
-  EXPECT_EQ(ls->level_of[c], 1u);
-  EXPECT_EQ(ls->level_of[d], 2u);
-  EXPECT_EQ(ls->bucket(1).size(), 2u);
-  expect_valid_levelization(g);
+  // The fork's branches follow in a's fanout order, the join comes last.
+  EXPECT_EQ(position(g, a), 0u);
+  EXPECT_EQ(position(g, b), 1u);
+  EXPECT_EQ(position(g, c), 2u);
+  EXPECT_EQ(position(g, d), 3u);
+  expect_valid_order(g);
 }
 
 TEST(Levelize, UnbalancedReconvergence) {
-  // a -> b -> c -> d and a -> d directly: d sits at level 3, not 1.
+  // a -> b -> c -> d and a -> d directly: the direct edge does not pull d
+  // ahead of the long branch, d waits for its last fanin c.
   TimingGraph g(0);
   const VertexId a = g.add_vertex("a", true);
   const VertexId b = g.add_vertex("b");
@@ -123,8 +131,11 @@ TEST(Levelize, UnbalancedReconvergence) {
   g.add_edge(b, c, unit_delay());
   g.add_edge(c, d, unit_delay());
   g.add_edge(a, d, unit_delay());
-  EXPECT_EQ(g.levels()->level_of[d], 3u);
-  expect_valid_levelization(g);
+  EXPECT_EQ(position(g, a), 0u);
+  EXPECT_EQ(position(g, b), 1u);
+  EXPECT_EQ(position(g, c), 2u);
+  EXPECT_EQ(position(g, d), 3u);
+  expect_valid_order(g);
 }
 
 TEST(Levelize, CycleRejected) {
@@ -133,7 +144,13 @@ TEST(Levelize, CycleRejected) {
   const VertexId b = g.add_vertex("b");
   g.add_edge(a, b, unit_delay());
   g.add_edge(b, a, unit_delay());
-  EXPECT_THROW((void)g.levels(), Error);
+  EXPECT_THROW((void)g.topo_order(), Error);
+  // Nothing was cached: every later call, a copy's included, sorts again
+  // and throws again.
+  EXPECT_THROW((void)g.topo_order(), Error);
+  const TimingGraph copy = g;
+  EXPECT_THROW((void)copy.topo_order(), Error);
+  EXPECT_THROW(g.validate(), Error);
 }
 
 TEST(Levelize, RandomShapesHoldInvariants) {
@@ -141,7 +158,7 @@ TEST(Levelize, RandomShapesHoldInvariants) {
   for (size_t t = 0; t < 40; ++t) {
     const testing::SyntheticGraphSpec spec = testing::random_spec(rng);
     const TimingGraph g = testing::make_synthetic_graph(spec, rng);
-    expect_valid_levelization(g);
+    expect_valid_order(g);
   }
 }
 
@@ -151,7 +168,7 @@ TEST(Levelize, SurvivesEdgeRemovalAndVertexRemoval) {
   spec.width = 6;
   spec.depth = 3;
   TimingGraph g = testing::make_synthetic_graph(spec, rng);
-  expect_valid_levelization(g);
+  expect_valid_order(g);
   // Remove a handful of live edges (plus any vertex that goes dangling)
   // and re-check; mutation must invalidate the cache.
   size_t removed = 0;
@@ -167,25 +184,44 @@ TEST(Levelize, SurvivesEdgeRemovalAndVertexRemoval) {
         tv.fanout.empty())
       g.remove_vertex(v);
   }
-  expect_valid_levelization(g);
+  expect_valid_order(g);
 }
 
 TEST(Levelize, CacheInvalidatesButSnapshotsSurvive) {
-  TimingGraph g(0);
+  TimingGraph g(one_grid_space());
   const VertexId a = g.add_vertex("a", true);
   const VertexId b = g.add_vertex("b", false, true);
-  g.add_edge(a, b, unit_delay());
-  const auto before = g.levels();
-  EXPECT_EQ(g.levels().get(), before.get());  // cached: same snapshot
+  const EdgeId ab = g.add_edge(a, b, unit_delay(g.dim()));
+  const std::vector<VertexId>* cached = &g.topo_order();
 
-  const VertexId c = g.add_vertex("c", false, true);
-  g.add_edge(b, c, unit_delay());
-  const auto after = g.levels();
-  EXPECT_NE(after.get(), before.get());  // mutation invalidated the cache
-  // The old snapshot is untouched and still describes the old graph.
-  EXPECT_EQ(before->order.size(), 2u);
-  EXPECT_EQ(after->order.size(), 3u);
-  EXPECT_EQ(after->level_of[c], 2u);
+  // Delay writes and a same-dimension space swap leave the structure, and
+  // so the cached order, alone.
+  g.edge(ab).delay.set_nominal(2.0);
+  EXPECT_EQ(&g.topo_order(), cached);
+  g.reset_space(one_grid_space());
+  EXPECT_EQ(&g.topo_order(), cached);
+
+  // Each structural mutation replaces the order. A copy taken just before
+  // keeps the old vector alive (so the new one cannot reuse its address)
+  // and still describes the old graph.
+  auto expect_replaced = [&g](auto mutate) {
+    const std::vector<VertexId>& old = g.topo_order();
+    const TimingGraph before = g;
+    ASSERT_EQ(&before.topo_order(), &old);
+    const std::vector<VertexId> old_order = old;
+    mutate();
+    EXPECT_NE(&g.topo_order(), &old);
+    EXPECT_EQ(before.topo_order(), old_order);
+    expect_valid_order(g);
+  };
+  VertexId c = timing::kNoVertex;
+  EdgeId bc = timing::kNoEdge;
+  expect_replaced([&] { c = g.add_vertex("c"); });
+  expect_replaced([&] { bc = g.add_edge(b, c, unit_delay(g.dim())); });
+  EXPECT_EQ(g.topo_order(), (std::vector<VertexId>{a, b, c}));
+  expect_replaced([&] { g.remove_edge(bc); });
+  expect_replaced([&] { g.remove_vertex(c); });
+  EXPECT_EQ(g.topo_order(), (std::vector<VertexId>{a, b}));
 }
 
 TEST(Levelize, CopiesShareTheSnapshot) {
@@ -193,13 +229,43 @@ TEST(Levelize, CopiesShareTheSnapshot) {
   const VertexId a = g.add_vertex("a", true);
   const VertexId b = g.add_vertex("b", false, true);
   g.add_edge(a, b, unit_delay());
-  const auto ls = g.levels();
-  const TimingGraph copy = g;
-  EXPECT_EQ(copy.levels().get(), ls.get());
-  // Mutating the original does not disturb the copy's snapshot.
+  const std::vector<VertexId>& order = g.topo_order();
+  EXPECT_EQ(&g.topo_order(), &order);  // cached: stable across calls
+  TimingGraph copy = g;
+  EXPECT_EQ(&copy.topo_order(), &order);
+  TimingGraph assigned(0);
+  assigned = g;
+  EXPECT_EQ(&assigned.topo_order(), &order);
+  // Mutating the original does not disturb the copies' order.
   g.add_vertex("x", true);
-  EXPECT_EQ(copy.levels().get(), ls.get());
-  EXPECT_NE(g.levels().get(), ls.get());
+  EXPECT_EQ(&copy.topo_order(), &order);
+  EXPECT_EQ(copy.topo_order(), (std::vector<VertexId>{a, b}));
+  EXPECT_NE(&g.topo_order(), &order);
+  EXPECT_EQ(g.topo_order().size(), 3u);
+  // A move hands the cache over.
+  const TimingGraph moved = std::move(copy);
+  EXPECT_EQ(&moved.topo_order(), &order);
+}
+
+TEST(Levelize, ConcurrentFirstCallsShareOneOrder) {
+  stats::Rng rng(11);
+  testing::SyntheticGraphSpec spec;
+  spec.width = 40;
+  spec.depth = 8;
+  const TimingGraph g = testing::make_synthetic_graph(spec, rng);
+  constexpr size_t kThreads = 4;
+  std::vector<const std::vector<VertexId>*> seen(kThreads, nullptr);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      seen[t] = &g.topo_order();
+    });
+  for (std::thread& th : threads) th.join();
+  for (const std::vector<VertexId>* p : seen) EXPECT_EQ(p, seen.front());
+  EXPECT_EQ(&g.topo_order(), seen.front());
+  expect_valid_order(g);
 }
 
 }  // namespace

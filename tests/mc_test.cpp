@@ -15,9 +15,9 @@
 #include "hssta/hier/hier_ssta.hpp"
 #include "hssta/mc/flat_mc.hpp"
 #include "hssta/mc/hier_mc.hpp"
-#include "hssta/mc/sampler.hpp"
 #include "hssta/stats/normal.hpp"
 #include "hssta/util/error.hpp"
+#include "oracles.hpp"
 
 namespace hssta::mc {
 namespace {
@@ -109,7 +109,9 @@ TEST(McHier, ReplacementTracksFlattenedTruthGlobalOnlyDoesNot) {
   const ModuleUnderTest m(testing::small_module_spec(77));
   const hier::HierDesign design = testing::make_quad_design(m);
 
-  const auto mc = hier_flat_mc(design, 6000, 2009);
+  stats::Rng rng(2009);
+  const auto mc = flatten_design(design, hier::build_design_grid(design))
+                      .sample_delay(6000, rng);
 
   hier::HierOptions repl;
   hier::HierOptions glob;
@@ -150,8 +152,11 @@ TEST(McHier, LoadAwareFlatteningShiftsMean) {
   FlattenOptions plain;
   FlattenOptions aware;
   aware.load_aware_boundary = true;
-  const auto d0 = hier_flat_mc(design, 2000, 3, plain);
-  const auto d1 = hier_flat_mc(design, 2000, 3, aware);
+  const hier::DesignGrid grid = hier::build_design_grid(design);
+  stats::Rng rng0(3);
+  stats::Rng rng1(3);
+  const auto d0 = flatten_design(design, grid, plain).sample_delay(2000, rng0);
+  const auto d1 = flatten_design(design, grid, aware).sample_delay(2000, rng1);
   EXPECT_GT(d1.mean(), d0.mean());
 }
 

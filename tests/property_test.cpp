@@ -11,12 +11,12 @@
 #include "hssta/core/ssta.hpp"
 #include "hssta/hier/design_grid.hpp"
 #include "hssta/hier/replace.hpp"
-#include "hssta/mc/sampler.hpp"
 #include "hssta/model/reduce.hpp"
 #include "hssta/stats/rng.hpp"
 #include "hssta/timing/propagate.hpp"
 #include "hssta/timing/sta.hpp"
 #include "hssta/timing/statops.hpp"
+#include "oracles.hpp"
 
 namespace hssta {
 namespace {

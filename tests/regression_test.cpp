@@ -110,10 +110,17 @@ TEST(TightnessSplit, PartitionProperties) {
     f.set_random(rnd);
     return f;
   };
+  auto bank = [](const std::vector<timing::CanonicalForm>& forms) {
+    timing::FormBank xs(forms.size(), 0);
+    for (size_t r = 0; r < forms.size(); ++r) xs.store(r, forms[r]);
+    return xs;
+  };
+  std::vector<double> tp;
+  timing::FormBank scratch;
   // Equal iid forms split evenly for any count.
   for (size_t k : {1u, 2u, 3u, 5u, 9u}) {
-    std::vector<timing::CanonicalForm> xs(k, make(1.0, 0.2));
-    const auto tp = timing::tightness_split(xs);
+    const timing::FormBank xs = bank(std::vector(k, make(1.0, 0.2)));
+    timing::tightness_split_into(xs, k, tp, scratch);
     ASSERT_EQ(tp.size(), k);
     double sum = 0.0;
     for (double p : tp) {
@@ -123,13 +130,13 @@ TEST(TightnessSplit, PartitionProperties) {
     EXPECT_NEAR(sum, 1.0, 1e-12);
   }
   // A dominating entry takes all the mass.
-  std::vector<timing::CanonicalForm> xs{make(10.0, 0.1), make(1.0, 0.1),
-                                        make(1.0, 0.1)};
-  const auto tp = timing::tightness_split(xs);
+  const timing::FormBank xs =
+      bank({make(10.0, 0.1), make(1.0, 0.1), make(1.0, 0.1)});
+  timing::tightness_split_into(xs, 3, tp, scratch);
   EXPECT_GT(tp[0], 1.0 - 1e-9);
   EXPECT_LT(tp[1] + tp[2], 1e-9);
   // Empty input throws.
-  EXPECT_THROW((void)timing::tightness_split({}), Error);
+  EXPECT_THROW(timing::tightness_split_into(xs, 0, tp, scratch), Error);
 }
 
 }  // namespace

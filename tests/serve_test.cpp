@@ -7,11 +7,16 @@
 // the same (changed) design produces, at any client count.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -702,6 +707,105 @@ TEST_F(ServeTest, SessionsSurviveClientDisconnects) {
 
   serve::Client second(socket_path);
   const JsonValue analyzed = JsonReader::parse(second.request(
+      R"({"verb":"analyze","session":)" + std::to_string(sid) + "}"));
+  EXPECT_TRUE(analyzed.at("ok").as_bool());
+  expect_delay_eq(analyzed.at("delay"), reference_delay());
+  engine.request_stop();
+  engine.wait_until_stopped();
+  server.stop();
+}
+
+/// Entries of a /proc/self directory: open fds or live threads.
+size_t proc_entries(const char* dir) {
+  return static_cast<size_t>(std::distance(fs::directory_iterator(dir),
+                                           fs::directory_iterator{}));
+}
+
+TEST_F(ServeTest, ConnectionCyclesLeakNoFdsOrThreads) {
+  serve::Engine engine;
+  const std::string socket_path = (dir_ / "serve.sock").string();
+  serve::SocketServer server(engine, socket_path);
+  const size_t fds = proc_entries("/proc/self/fd");
+  const size_t tasks = proc_entries("/proc/self/task");
+
+  for (int k = 0; k < 500; ++k) serve::Client client(socket_path);
+
+  // Readers see each EOF asynchronously: wait for the last ones to close
+  // their fds and exit.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((proc_entries("/proc/self/fd") != fds ||
+          proc_entries("/proc/self/task") != tasks) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(proc_entries("/proc/self/fd"), fds);
+  EXPECT_EQ(proc_entries("/proc/self/task"), tasks);
+
+  // The daemon still serves.
+  serve::Client client(socket_path);
+  EXPECT_TRUE(JsonReader::parse(client.request(R"({"verb":"stats"})"))
+                  .at("ok")
+                  .as_bool());
+  engine.request_stop();
+  engine.wait_until_stopped();
+  server.stop();
+}
+
+TEST_F(ServeTest, OverlongLineIsRejectedThenDisconnected) {
+  serve::Engine engine;
+  const std::string socket_path = (dir_ / "serve.sock").string();
+  serve::SocketServer server(engine, socket_path);
+  serve::Client good(socket_path);
+  ASSERT_TRUE(JsonReader::parse(good.request(load_line())).at("ok").as_bool());
+  const uint64_t sid =
+      JsonReader::parse(good.request(R"({"verb":"open_session","design":"d"})"))
+          .at("session")
+          .as_count("session");
+
+  // A raw client streams one byte past the limit and never sends '\n'.
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // A server that never answers fails the test instead of hanging it.
+  const timeval timeout{30, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+  const std::string flood(serve::kMaxRequestLineBytes + 1, 'x');
+  for (size_t off = 0; off < flood.size();) {
+    const ssize_t n = ::send(fd, flood.data() + off, flood.size() - off,
+                             MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    off += static_cast<size_t>(n);
+  }
+  // Everything the server sends until it closes the connection.
+  std::string reply;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    reply.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(reply.find('\n'), reply.size() - 1) << "exactly one line";
+  const JsonValue doc = JsonReader::parse(reply.substr(0, reply.size() - 1));
+  EXPECT_FALSE(doc.at("ok").as_bool());
+  EXPECT_EQ(doc.at("code").as_string(), "bad_request");
+  EXPECT_NE(doc.at("error").as_string().find(
+                std::to_string(serve::kMaxRequestLineBytes)),
+            std::string::npos)
+      << reply;
+
+  // The other client's session is untouched.
+  const JsonValue analyzed = JsonReader::parse(good.request(
       R"({"verb":"analyze","session":)" + std::to_string(sid) + "}"));
   EXPECT_TRUE(analyzed.at("ok").as_bool());
   expect_delay_eq(analyzed.at("delay"), reference_delay());

@@ -1,4 +1,4 @@
-// Seeded random timing-graph generator shared by the levelization property
+// Seeded random timing-graph generator shared by the topological-order
 // tests and the level-sweep differential fuzz harness. Unlike
 // netlist::make_random_dag (which builds a full netlist and runs the whole
 // pipeline), this builds bare timing::TimingGraph instances directly, so a

@@ -162,7 +162,9 @@ TEST(Propagate, ForwardBackwardSymmetry) {
   g.add_edge(m2, z, form(1.2, {0.2, 0.0}, 0.1));
   const std::vector<VertexId> sources{a};
   const PropagationResult fwd = propagate_arrivals(g, sources);
-  const PropagationResult bwd = propagate_to_sink(g, z);
+  const std::vector<VertexId> sinks{z};
+  PropagationResult bwd;
+  propagate_required_into(g, sinks, bwd);
   EXPECT_NEAR(fwd.at(z).nominal(), bwd.at(a).nominal(), 1e-9);
   EXPECT_NEAR(fwd.at(z).sigma(), bwd.at(a).sigma(), 1e-9);
 }
