@@ -19,8 +19,7 @@
 
 int main(int argc, char** argv) {
   using namespace hssta;
-  bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
-  if (args.samples == 4000) args.samples = 2500;  // lighter default here
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv, 2500);
 
   std::printf(
       "Ablation: grid granularity (cells-per-grid bound) on c1908\n"

@@ -1,7 +1,9 @@
-// Shared infrastructure for the bench harnesses, built on the flow::
-// facade: module handles for the synthetic ISCAS85 suite, the paper's
-// Fig. 7 design topology, ArgParser-based flag parsing and output-file
-// handling.
+// Shared infrastructure for the paper-reproduction programs in bench/
+// (Table I, Figs. 6-7, the Sec. VI-B speedup and two ablations), built on
+// the flow:: facade: module handles for the synthetic ISCAS85 suite, the
+// paper's Fig. 7 design topology, ArgParser-based flag parsing and CSV
+// output handling. bench/ reproduces the paper's results; performance is
+// measured by perfbench/ (BENCHMARK.json), not here.
 
 #pragma once
 
@@ -16,24 +18,17 @@
 
 namespace hssta::bench {
 
-/// A flow::Config with the bench-wide grid bound and extraction threshold
-/// applied.
-inline flow::Config bench_config(size_t max_cells_per_grid = 100,
-                                 double delta = 0.05) {
-  flow::Config cfg;
-  cfg.max_cells_per_grid = max_cells_per_grid;
-  cfg.extract.criticality_threshold = delta;
-  return cfg;
-}
-
-/// Module handle for one synthetic ISCAS85 circuit. `delta` becomes the
-/// module's configured extraction threshold, so everything derived from
-/// the handle — including design-level analyses — uses the same model.
+/// Module handle for one synthetic ISCAS85 circuit under the bench-wide
+/// grid bound. `delta` becomes the module's configured extraction
+/// threshold, so everything derived from the handle — including
+/// design-level analyses — uses the same model.
 inline flow::Module module_for_iscas(const std::string& name,
                                      size_t max_cells_per_grid = 100,
                                      double delta = 0.05) {
-  return flow::Module::from_iscas(name,
-                                  bench_config(max_cells_per_grid, delta));
+  flow::Config cfg;
+  cfg.max_cells_per_grid = max_cells_per_grid;
+  cfg.extract.criticality_threshold = delta;
+  return flow::Module::from_iscas(name, cfg);
 }
 
 /// The paper's Fig. 7 experimental circuit: four instances of one module in
@@ -77,15 +72,17 @@ inline flow::Design make_fig7_design(const flow::Module& m) {
 
 /// Bench-wide flags: --samples N, --quick, --delta X, --seed N.
 struct BenchArgs {
-  uint64_t samples = 4000;
+  uint64_t samples = 0;
   double delta = 0.05;
   uint64_t seed = 2009;
   bool quick = false;
 
-  static BenchArgs parse(int argc, char** argv,
-                         const std::string& program = "bench") {
+  /// `default_samples` is the program's Monte Carlo sample count when
+  /// --samples is absent. --quick only caps the count in force.
+  static BenchArgs parse(int argc, char** argv, uint64_t default_samples) {
     BenchArgs a;
-    util::ArgParser p(program, "hssta bench harness");
+    a.samples = default_samples;
+    util::ArgParser p("bench", "hssta paper-reproduction program");
     p.option("--samples", &a.samples, "N", "Monte Carlo sample count");
     p.option("--delta", &a.delta, "X", "extraction criticality threshold");
     p.option("--seed", &a.seed, "S", "Monte Carlo RNG seed");

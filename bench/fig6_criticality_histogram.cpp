@@ -17,7 +17,8 @@
 
 int main(int argc, char** argv) {
   using namespace hssta;
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
+  // No Monte Carlo here: only --delta is read.
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv, 0);
 
   std::printf("Fig. 6 reproduction: edge criticality histogram for c7552\n\n");
   const flow::Module module = bench::module_for_iscas("c7552");

@@ -10,7 +10,8 @@
 // curve; the global-only curve is visibly too steep (underestimated
 // sigma); the analysis is ~3 orders of magnitude faster than MC.
 //
-// Flags: --samples N (default 4000; paper used 10000), --quick.
+// Flags: --samples N (default 4000; paper used 10000), --quick (caps the
+// count at 1500).
 
 #include <cstdio>
 #include <iostream>
@@ -26,7 +27,7 @@
 
 int main(int argc, char** argv) {
   using namespace hssta;
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv, 4000);
 
   std::printf(
       "Fig. 7 reproduction: hierarchical SSTA of 4 x c6288 (16x16 array "

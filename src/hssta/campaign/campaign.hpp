@@ -30,9 +30,10 @@
 /// merge_campaign() folds the shards into one campaign report, keyed by
 /// the expansion order — byte-identical no matter how many workers ran,
 /// in what order shards landed, or how often the campaign was resumed,
-/// and byte-identical to the workers=0 serial run (asserted in tests and
-/// gated in bench/campaign_scale). Run-varying data (seconds, engine
-/// counters) deliberately stays out of the merged report.
+/// and byte-identical to the workers=0 serial run (asserted by the
+/// SubprocessTest suite for chain and star bases, and by CI's
+/// campaign-smoke job). Run-varying data (seconds, engine counters)
+/// deliberately stays out of the merged report.
 
 #pragma once
 

@@ -55,11 +55,11 @@ size_t add_instance_at(Design& design, const std::string& file, size_t idx,
 /// builds share one port list — exactly like the incremental engine.
 void wire_and_expose(Design& design,
                      const std::vector<hier::Connection>& base_conns,
-                     const ChainOverrides& overrides) {
+                     const std::map<size_t, hier::Connection>& rewires) {
   for (size_t c = 0; c < base_conns.size(); ++c) {
-    const auto it = overrides.rewires.find(c);
+    const auto it = rewires.find(c);
     const hier::Connection& cn =
-        it != overrides.rewires.end() ? it->second : base_conns[c];
+        it != rewires.end() ? it->second : base_conns[c];
     design.connect(cn.from_output.instance, cn.from_output.port,
                    cn.to_input.instance, cn.to_input.port);
   }
@@ -105,42 +105,35 @@ Design build_chain_design(const std::string& name,
       base_conns.push_back(hier::Connection{hier::PortRef{i, k % no},
                                             hier::PortRef{i + 1, k}});
   }
-  wire_and_expose(design, base_conns, overrides);
+  wire_and_expose(design, base_conns, overrides.rewires);
   return design;
 }
 
 Design build_star_design(const std::string& name,
                          const std::vector<std::string>& files,
-                         const Config& cfg, const ChainOverrides& overrides) {
+                         const Config& cfg) {
   if (files.size() < 2)
     throw Error("star topology needs at least two modules (leaves + hub)");
   Design design(name, cfg);
   for (size_t idx = 0; idx < files.size(); ++idx) {
     // 4-wide grid, each instance offset by its own die — identical models
-    // tile exactly (the eco_loop star layout). Placement needs the die
-    // before the add, so the model/module resolves first (extraction is
-    // cache-aware either way).
+    // tile exactly. Placement needs the die before the add, so the
+    // model/module resolves first (extraction is cache-aware either way).
     const std::string& file = files[idx];
-    const auto model_it = overrides.models.find(idx);
     std::shared_ptr<const model::TimingModel> model;
     std::optional<Module> module;
-    if (model_it != overrides.models.end())
-      model = model_it->second;
-    else if (is_model_file(file))
+    if (is_model_file(file))
       model = std::make_shared<const model::TimingModel>(
           model::TimingModel::load_file(file));
     else
       module.emplace(Module::from_file(file, cfg));
     const placement::Die& die = model ? model->die() : module->model().die();
-    placement::Point origin{static_cast<double>(idx % 4) * die.width,
-                            static_cast<double>(idx / 4) * die.height};
-    const auto origin_it = overrides.origins.find(idx);
-    if (origin_it != overrides.origins.end()) origin = origin_it->second;
+    const double x = static_cast<double>(idx % 4) * die.width;
+    const double y = static_cast<double>(idx / 4) * die.height;
     if (model)
-      design.add_instance(std::move(model), origin.x, origin.y,
-                          "u" + std::to_string(idx));
+      design.add_instance(std::move(model), x, y, "u" + std::to_string(idx));
     else
-      design.add_instance(*module, origin.x, origin.y);
+      design.add_instance(*module, x, y);
   }
 
   // Every hub input driven round-robin from the leaves.
@@ -155,7 +148,7 @@ Design build_star_design(const std::string& name,
     base_conns.push_back(
         hier::Connection{hier::PortRef{leaf, k % no}, hier::PortRef{hub, k}});
   }
-  wire_and_expose(design, base_conns, overrides);
+  wire_and_expose(design, base_conns, {});
   return design;
 }
 

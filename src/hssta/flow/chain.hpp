@@ -50,16 +50,15 @@ struct ChainOverrides {
                                         const Config& cfg,
                                         const ChainOverrides& overrides = {});
 
-/// The "star" counterpart (the campaign layer's second base topology, same
-/// shape as the eco_loop bench design): instances placed on a 4-wide grid
-/// by their own die size, the last instance the combiner, every combiner
-/// input k driven round-robin by leaf `k % (N-1)`'s output `k % no`, and
-/// the base topology's unwired boundary ports exposed as primary ports.
-/// Needs at least two files. Overrides apply exactly as in the chain
-/// build (rewires indexed into the star's deterministic connection list).
+/// The "star" counterpart (the campaign layer's second base topology, the
+/// SoC shape of leaf IPs feeding one combiner): instances placed on a
+/// 4-wide grid by their own die size, the last instance the combiner,
+/// every combiner input k driven round-robin by leaf `k % (N-1)`'s output
+/// `k % no`, and the unwired boundary ports exposed as primary ports.
+/// Needs at least two files. A changed star is built from its changed
+/// file list.
 [[nodiscard]] Design build_star_design(const std::string& name,
                                        const std::vector<std::string>& files,
-                                       const Config& cfg,
-                                       const ChainOverrides& overrides = {});
+                                       const Config& cfg);
 
 }  // namespace hssta::flow

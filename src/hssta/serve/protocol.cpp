@@ -181,4 +181,10 @@ std::string error_response(const std::optional<uint64_t>& id, const char* code,
   return os.str();
 }
 
+std::string overlong_line_response() {
+  return error_response(std::nullopt, kBadRequest,
+                        "request line exceeds the limit of " +
+                            std::to_string(kMaxRequestLineBytes) + " bytes");
+}
+
 }  // namespace hssta::serve

@@ -63,11 +63,12 @@ enum class Verb {
   kShutdown,
 };
 
-/// Longest request line the socket transport accepts, newline excluded.
+/// Longest request line either transport accepts, newline excluded.
 /// Requests name model and state files by path, never inline their
 /// contents, so real lines stay orders of magnitude below it. A longer
-/// line is answered with one bad_request naming the limit, and the
-/// connection is closed.
+/// line is answered with overlong_line_response(), and the transport
+/// stops reading: the socket closes the connection, the stream transport
+/// ends as at EOF.
 inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
 
 /// Error codes (the protocol's stable vocabulary).
@@ -147,5 +148,9 @@ void begin_response(util::JsonWriter& w, const std::optional<uint64_t>& id,
 [[nodiscard]] std::string error_response(const std::optional<uint64_t>& id,
                                          const char* code,
                                          const std::string& message);
+
+/// The bad_request line (without trailing newline) that answers a request
+/// line longer than kMaxRequestLineBytes; its message names the limit.
+[[nodiscard]] std::string overlong_line_response();
 
 }  // namespace hssta::serve

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <optional>
 #include <utility>
 
 #include "hssta/serve/engine.hpp"
@@ -183,11 +182,7 @@ void SocketServer::read_loop(const std::shared_ptr<Conn>& conn) {
     buffer.erase(0, start);
     too_long = too_long || buffer.size() > kMaxRequestLineBytes;
   }
-  if (too_long)
-    write_line(conn, error_response(std::nullopt, kBadRequest,
-                                    "request line exceeds the limit of " +
-                                        std::to_string(kMaxRequestLineBytes) +
-                                        " bytes"));
+  if (too_long) write_line(conn, overlong_line_response());
   close_connection(conn);
 }
 

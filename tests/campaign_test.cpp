@@ -77,11 +77,16 @@ class CampaignTest : public ::testing::Test {
                                     flow::Config{});
   }
 
-  /// The standard 3x2 campaign spec (sigma x swap) written to disk.
-  [[nodiscard]] std::string write_spec() const {
+  /// The standard 3x2 campaign spec (sigma x swap) written to disk, over
+  /// an a->b chain or a star whose combiner b reads leaves a and c.
+  [[nodiscard]] std::string write_spec(
+      const std::string& topology = "chain") const {
+    const std::string files = topology == "star"
+                                  ? R"(["a.bench", "c.bench", "b.bench"])"
+                                  : R"(["a.bench", "b.bench"])";
     write("spec.json", R"({
       "name": "grid",
-      "base": {"topology": "chain", "files": ["a.bench", "b.bench"]},
+      "base": {"topology": ")" + topology + R"(", "files": )" + files + R"(},
       "axes": [
         {"type": "sigma", "param": 0, "scales": [0.9, 1.0, 1.1]},
         {"type": "swap", "inst": 0, "files": ["a.bench", "c.bench"]}
@@ -568,15 +573,19 @@ using SubprocessTest = CampaignTest;
 TEST_F(SubprocessTest, WorkersMatchTheSerialReferenceByteForByte) {
   if (!fs::exists(campaign::default_worker_cmd()))
     GTEST_SKIP() << "hssta_cli not found next to the test binary";
-  const std::string spec = write_spec();
+  for (const std::string topology : {"chain", "star"}) {
+    SCOPED_TRACE(topology);
+    const std::string spec = write_spec(topology);
 
-  const campaign::RunStats s = campaign::run_campaign(spec, opts("w", 4));
-  EXPECT_EQ(s.executed, 6u);
-  EXPECT_EQ(s.remaining, 0u);
+    const campaign::RunStats s =
+        campaign::run_campaign(spec, opts("w_" + topology, 4));
+    EXPECT_EQ(s.executed, 6u);
+    EXPECT_EQ(s.remaining, 0u);
 
-  (void)campaign::run_campaign(spec, opts("ref", 0));
-  EXPECT_EQ(campaign::merge_campaign(spec, opts("w")),
-            campaign::merge_campaign(spec, opts("ref")));
+    (void)campaign::run_campaign(spec, opts("ref_" + topology, 0));
+    EXPECT_EQ(campaign::merge_campaign(spec, opts("w_" + topology)),
+              campaign::merge_campaign(spec, opts("ref_" + topology)));
+  }
 }
 
 TEST_F(SubprocessTest, LimitedWorkerRunResumes) {

@@ -5,18 +5,22 @@
 // produce results BIT-identical to a from-scratch flow::Design analysis of
 // the changed design, at 1 / 2 / 4 threads, and reverting the change must
 // reproduce the base analysis bit for bit (the module -> design ->
-// unchanged round trip). Plus unit coverage of the engine lifecycle, the
-// full-rebuild fallback, the scenario runner and the sigma config key.
+// unchanged round trip). Plus each-instance swaps on the campaign star
+// topology, and unit coverage of the engine lifecycle, the full-rebuild
+// fallback, the scenario runner and the sigma config key.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "hssta/flow/chain.hpp"
 #include "hssta/flow/flow.hpp"
 #include "hssta/incr/design_state.hpp"
 #include "hssta/incr/scenario.hpp"
@@ -393,6 +397,47 @@ TEST_F(IncrementalDifferential, IncompatibleSwapFallsBackToFullRebuild) {
   st.analyze();
   EXPECT_EQ(st.stats().full_builds, builds + 1);
   expect_matches(st, ref, "incompatible swap");
+}
+
+TEST_F(IncrementalDifferential, StarSwapEachInstanceMatchesFromScratch) {
+  // The campaign layer's star base (flow::build_star_design), built from
+  // .hstm files of one pool module. Swapping any instance for a
+  // geometry-identical variant must match a from-scratch star whose file
+  // list names the variant at that position, and reverting must restore
+  // the base bits.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("hssta_incr_star_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string base_file = (dir / "base.hstm").string();
+  const std::string variant_file = (dir / "variant.hstm").string();
+  (*pool_)[0].model().save_file(base_file);
+  const auto base = std::make_shared<const model::TimingModel>(
+      model::TimingModel::load_file(base_file));
+  const auto variant = testing::scaled_variant(*base, 0.9);
+  variant->save_file(variant_file);
+
+  constexpr size_t kInstances = 5;  // four leaves and the combiner
+  const std::vector<std::string> files(kInstances, base_file);
+  const flow::Design star = flow::build_star_design("star", files, *cfg_);
+  const Reference ref_base = analyze_reference(star);
+  DesignState& st = star.incremental();
+  for (size_t i = 0; i < kInstances; ++i) {
+    SCOPED_TRACE("instance " + std::to_string(i));
+    std::vector<std::string> changed = files;
+    changed[i] = variant_file;
+    const Reference ref =
+        analyze_reference(flow::build_star_design("star", changed, *cfg_));
+    st.replace_module(i, variant);
+    st.analyze();
+    expect_matches(st, ref, "swap");
+    st.replace_module(i, base);
+    st.analyze();
+    expect_matches(st, ref_base, "revert");
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 TEST_F(IncrementalDifferential, ScenarioRunnerMatchesFromScratch) {

@@ -1,7 +1,8 @@
 // End-to-end tests for the serve layer: wire-protocol parsing
 // (serve::protocol), the request engine (sessions, batching, admission
-// control, eviction, graceful shutdown) and the Unix-domain-socket
-// transport + client. The load-bearing assertions are bit-identity ones:
+// control, eviction, graceful shutdown), the Unix-domain-socket transport
+// + client and the stdio stream transport. The load-bearing assertions
+// are bit-identity ones:
 // every served delay must equal — as a double, bit for bit, through the
 // %.17g JSON round trip — the number a one-shot flow::Design analysis of
 // the same (changed) design produces, at any client count.
@@ -21,6 +22,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +34,7 @@
 #include "hssta/serve/engine.hpp"
 #include "hssta/serve/protocol.hpp"
 #include "hssta/serve/socket.hpp"
+#include "hssta/serve/stream.hpp"
 #include "hssta/util/error.hpp"
 #include "hssta/util/json.hpp"
 #include "hssta/util/version.hpp"
@@ -812,6 +815,47 @@ TEST_F(ServeTest, OverlongLineIsRejectedThenDisconnected) {
   engine.request_stop();
   engine.wait_until_stopped();
   server.stop();
+}
+
+// --- stream transport (hssta_serve --stdio) ---------------------------------
+
+TEST_F(ServeTest, StdioAnswersEachRequestAndSkipsBlanksAndComments) {
+  serve::Engine engine;
+  // The last request has no newline: it still counts, as for getline.
+  std::istringstream in("# annotated transcript\n\n" + load_line() +
+                        "\n{\"verb\":\"stats\"}");
+  std::ostringstream out;
+  serve::serve_stream(engine, in, out);
+  EXPECT_TRUE(engine.stopped());
+
+  std::istringstream replies(out.str());
+  std::string loaded, stats, extra;
+  ASSERT_TRUE(std::getline(replies, loaded)) << out.str();
+  ASSERT_TRUE(std::getline(replies, stats)) << out.str();
+  EXPECT_FALSE(std::getline(replies, extra)) << out.str();
+  expect_delay_eq(JsonReader::parse(loaded).at("delay"), reference_delay());
+  EXPECT_TRUE(JsonReader::parse(stats).at("ok").as_bool()) << stats;
+}
+
+TEST_F(ServeTest, StdioOverlongLineIsRejectedThenStops) {
+  serve::Engine engine;
+  // One byte past the limit, then a valid request that must go unanswered.
+  std::istringstream in(std::string(serve::kMaxRequestLineBytes + 1, 'x') +
+                        "\n{\"verb\":\"stats\"}\n");
+  std::ostringstream out;
+  serve::serve_stream(engine, in, out);
+  EXPECT_TRUE(engine.stopped());
+
+  const std::string reply = out.str();
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(reply.find('\n'), reply.size() - 1) << "exactly one line";
+  const JsonValue doc = JsonReader::parse(reply.substr(0, reply.size() - 1));
+  EXPECT_FALSE(doc.at("ok").as_bool());
+  EXPECT_EQ(doc.at("code").as_string(), "bad_request");
+  EXPECT_NE(doc.at("error").as_string().find(
+                std::to_string(serve::kMaxRequestLineBytes)),
+            std::string::npos)
+      << reply;
 }
 
 }  // namespace

@@ -13,7 +13,8 @@
 // `hssta_cli serve-client` or any line-oriented socket client.
 //
 // The service stops on the `shutdown` verb (graceful: accepted requests
-// drain first) or on stdin EOF in --stdio mode.
+// drain first) or, in --stdio mode, on stdin EOF or after answering an
+// over-long request line.
 
 #include <csignal>
 #include <cstdio>
@@ -22,6 +23,7 @@
 
 #include "hssta/serve/engine.hpp"
 #include "hssta/serve/socket.hpp"
+#include "hssta/serve/stream.hpp"
 #include "hssta/util/argparse.hpp"
 #include "hssta/util/error.hpp"
 #include "hssta/util/version.hpp"
@@ -85,16 +87,8 @@ int run(int argc, const char* const* argv) {
   serve::Engine engine(std::move(opts));
 
   if (stdio) {
-    std::string line;
-    while (!engine.stopped() && std::getline(std::cin, line)) {
-      // Skip blanks and #-comments so annotated transcripts (see
-      // examples/serve_session.txt) pipe straight in.
-      if (line.empty() || line[0] == '#') continue;
-      std::printf("%s\n", engine.request(line).c_str());
-      std::fflush(stdout);
-    }
-    engine.request_stop();
-    engine.wait_until_stopped();
+    // Annotated transcripts (examples/serve_session.txt) pipe straight in.
+    serve::serve_stream(engine, std::cin, std::cout);
     return 0;
   }
 
