@@ -882,7 +882,7 @@ std::string report_json(const Report& report) {
   std::ostringstream os;
   util::JsonWriter w(os);
   write_report(w, report);
-  w.complete();
+  HSSTA_ASSERT(w.complete(), "unbalanced JSON report");
   return os.str();
 }
 

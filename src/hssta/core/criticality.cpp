@@ -1,15 +1,17 @@
 #include "hssta/core/criticality.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <ranges>
 
-#include "hssta/timing/propagate.hpp"
 #include "hssta/timing/statops.hpp"
 #include "hssta/util/error.hpp"
 
 namespace hssta::core {
 
 using timing::EdgeId;
+using timing::FormView;
 using timing::MaxDiagnostics;
 using timing::PropagationResult;
 using timing::TimingGraph;
@@ -17,64 +19,24 @@ using timing::VertexId;
 
 namespace {
 
-/// Per-worker scratch for the per-input criticality passes: propagation
-/// buffers, tightness candidates, the batched backward frontier (one row of
-/// |outputs| vertex-criticality masses per vertex slot) and this worker's
-/// cm accumulator (merged by max after a fan-out region).
-struct CritScratch {
-  timing::PropagationResult prop;
-  std::vector<double> tp;
-  timing::FormBank cand;           ///< fanin arrival candidates, one row each
-  std::vector<EdgeId> cand_edge;
-  timing::FormBank split_scratch;  ///< prefix/suffix folds of the split
-  std::vector<double> split;
-  std::vector<double> vc;          ///< row-major [vertex slot][output index]
-  std::vector<uint8_t> row_active; ///< row has mass (or is a seeded output)
-  std::vector<double> cm;
-  MaxDiagnostics diag;
-};
-
-/// Fanin tightness probabilities for one arrival propagation: sc.tp[e] =
-/// Prob{edge e carries the maximal fanin arrival of its sink}, renormalized
-/// per vertex so they partition exactly. Each vertex's candidates are
-/// assembled into rows of the scratch `cand` bank and split in place — a
-/// warm scratch makes the whole pass allocation-free.
-void fanin_tightness_into(const TimingGraph& g,
-                          const PropagationResult& arrival,
-                          MaxDiagnostics* diag, CritScratch& sc) {
-  sc.tp.assign(g.num_edge_slots(), 0.0);
-  for (VertexId v : g.topo_order()) {
-    const auto& fanin = g.vertex(v).fanin;
-    if (fanin.empty()) continue;
-    sc.cand_edge.clear();
-    if (sc.cand.rows() < fanin.size() || sc.cand.dim() != g.dim())
-      sc.cand.reset(fanin.size(), g.dim());
-    size_t n = 0;
-    for (EdgeId e : fanin) {
-      const timing::TimingEdge& te = g.edge(e);
-      if (!arrival.valid[te.from]) continue;
-      timing::add_into(sc.cand.row(n), arrival.time.row(te.from),
-                       te.delay.view());
-      sc.cand_edge.push_back(e);
-      ++n;
-    }
-    if (n == 0) continue;
-    timing::tightness_split_into(sc.cand, n, sc.split, sc.split_scratch,
-                                 diag);
-    for (size_t t = 0; t < n; ++t) sc.tp[sc.cand_edge[t]] = sc.split[t];
-  }
-}
-
 /// The batched backward pass's gather schedule. For every vertex u,
 /// edges[offsets[u] .. offsets[u+1]) lists u's live fanout edges in exactly
 /// the order the per-(i, j) scalar scatter pass (the test oracle in
 /// tests/oracles.hpp) would have accumulated their contributions into
 /// vc(u): by sink position in reverse topological order, then by the sink's
 /// fanin-list order. Gathering in this order reproduces the scatter pass's
-/// floating-point sums bit for bit.
+/// floating-point sums bit for bit. sinks[k] caches to(edges[k]).
+///
+/// reach[reach_offsets[v] .. reach_offsets[v+1]) lists, in ascending order,
+/// the output indices j that vertex v reaches structurally. A frontier
+/// column j of a vertex outside that list is never written, so it holds
+/// exactly 0 and the gather skips it.
 struct BackwardPlan {
-  std::vector<size_t> offsets;  ///< per vertex slot (+1), into `edges`
+  std::vector<size_t> offsets;  ///< per vertex slot (+1), into edges/sinks
   std::vector<EdgeId> edges;
+  std::vector<VertexId> sinks;
+  std::vector<size_t> reach_offsets;  ///< per vertex slot (+1), into reach
+  std::vector<uint32_t> reach;
 };
 
 BackwardPlan make_backward_plan(const TimingGraph& g) {
@@ -86,81 +48,189 @@ BackwardPlan make_backward_plan(const TimingGraph& g) {
   for (size_t u = 1; u < plan.offsets.size(); ++u)
     plan.offsets[u] += plan.offsets[u - 1];
   plan.edges.resize(plan.offsets.back());
+  plan.sinks.resize(plan.offsets.back());
   std::vector<size_t> cursor(plan.offsets.begin(), plan.offsets.end() - 1);
+  for (VertexId v : reverse_order) {
+    for (EdgeId e : g.vertex(v).fanin) {
+      const size_t k = cursor[g.edge(e).from]++;
+      plan.edges[k] = e;
+      plan.sinks[k] = v;
+    }
+  }
+
+  // Output reachability as one bitset row per vertex, unioned over the
+  // fanout in reverse topological order, then flattened to sorted lists.
+  const auto& outs = g.outputs();
+  HSSTA_REQUIRE(outs.size() <= UINT32_MAX, "too many output ports");
+  const size_t words = (outs.size() + 63) / 64;
+  std::vector<uint64_t> bits(g.num_vertex_slots() * words, 0);
+  for (size_t j = 0; j < outs.size(); ++j)
+    bits[outs[j] * words + j / 64] |= uint64_t{1} << (j % 64);
   for (VertexId v : reverse_order)
-    for (EdgeId e : g.vertex(v).fanin)
-      plan.edges[cursor[g.edge(e).from]++] = e;
+    for (EdgeId e : g.vertex(v).fanout)
+      for (size_t w = 0; w < words; ++w)
+        bits[v * words + w] |= bits[g.edge(e).to * words + w];
+  plan.reach_offsets.assign(g.num_vertex_slots() + 1, 0);
+  for (VertexId v = 0; v < g.num_vertex_slots(); ++v) {
+    size_t n = 0;
+    for (size_t w = 0; w < words; ++w)
+      n += static_cast<size_t>(std::popcount(bits[v * words + w]));
+    plan.reach_offsets[v + 1] = plan.reach_offsets[v] + n;
+  }
+  plan.reach.reserve(plan.reach_offsets.back());
+  for (VertexId v = 0; v < g.num_vertex_slots(); ++v) {
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t b = bits[v * words + w]; b != 0; b &= b - 1)
+        plan.reach.push_back(
+            static_cast<uint32_t>(w * 64 + std::countr_zero(b)));
+    }
+  }
   return plan;
 }
 
-/// Ensure the frontier matches (V x J) and clear it. Only rows flagged
-/// active by the previous pass are touched, so per-input reset cost tracks
-/// the mass actually propagated, not the full V * J footprint.
-void reset_frontier(const TimingGraph& g, size_t num_outs, CritScratch& sc) {
-  const size_t want = g.num_vertex_slots() * num_outs;
-  if (sc.vc.size() != want || sc.row_active.size() != g.num_vertex_slots()) {
-    sc.vc.assign(want, 0.0);
-    sc.row_active.assign(g.num_vertex_slots(), 0);
-    return;
-  }
-  for (VertexId v = 0; v < sc.row_active.size(); ++v) {
-    if (!sc.row_active[v]) continue;
-    std::fill_n(sc.vc.begin() + static_cast<size_t>(v) * num_outs, num_outs,
-                0.0);
-    sc.row_active[v] = 0;
-  }
-}
+/// Per-worker scratch for the per-input criticality passes: the fused
+/// forward sweep's state, the batched backward frontier (one row of
+/// |outputs| vertex-criticality masses per vertex slot) and this worker's
+/// cm accumulator (merged by max after a fan-out region).
+struct CritScratch {
+  ArrivalTightness fwd;
+  std::vector<double> vc;           ///< row-major [vertex slot][output index]
+  std::vector<uint8_t> row_active;  ///< row has mass (or is a seeded output)
+  std::vector<double> cm;
+  MaxDiagnostics diag;
+};
 
-/// Seed the frontier: vc(output j, j) = 1 for every output the current
-/// input's arrival reaches (unreached outputs contribute no pass, exactly
-/// like the scatter reference).
-void seed_frontier(const std::vector<VertexId>& outs,
-                   const PropagationResult& arrival, size_t num_outs,
-                   CritScratch& sc) {
+/// Batched backward pass over all outputs for the input whose forward state
+/// is `sc.fwd`, folding every contribution c_ij(e) into sc.cm[e] by max.
+/// Expects a clean frontier and leaves one: the rows this input wrote are
+/// zeroed again on the way out.
+void batched_backward(const BackwardPlan& plan,
+                      const std::vector<VertexId>& outs, double prune_epsilon,
+                      CritScratch& sc) {
+  const size_t num_outs = outs.size();
+  const ArrivalTightness& fwd = sc.fwd;
+  // Seed vc(output j, j) = 1 for every output the input's arrival reaches
+  // (unreached outputs contribute no pass, exactly like the scatter
+  // reference).
   for (size_t j = 0; j < num_outs; ++j) {
-    if (!arrival.valid[outs[j]]) continue;
-    sc.vc[static_cast<size_t>(outs[j]) * num_outs + j] = 1.0;
+    if (!fwd.arrivals.valid[outs[j]]) continue;
+    sc.vc[outs[j] * num_outs + j] = 1.0;
     sc.row_active[outs[j]] = 1;
   }
-}
-
-/// Batched backward pass over all outputs for one input. Visiting u in
-/// reverse topological order gathers its frontier row: pull vc(sink) *
-/// tp(e) over u's fanout edges (in scatter order) for every output at
-/// once, folding each contribution into `combine`.
-template <typename Combine>
-void batched_backward(const TimingGraph& g, const BackwardPlan& plan,
-                      const std::vector<VertexId>& outs,
-                      const PropagationResult& arrival, double prune_epsilon,
-                      CritScratch& sc, Combine&& combine) {
-  const size_t num_outs = outs.size();
-  reset_frontier(g, num_outs, sc);
-  seed_frontier(outs, arrival, num_outs, sc);
-  for (VertexId u : std::views::reverse(g.topo_order())) {
-    double* row = sc.vc.data() + static_cast<size_t>(u) * num_outs;
+  // Only cone vertices can carry mass: an unreached vertex has no tp > 0
+  // edge into any sink.
+  for (VertexId u : std::views::reverse(fwd.cone)) {
+    double* row = sc.vc.data() + u * num_outs;
     bool active = sc.row_active[u] != 0;  // a seeded output row stays active
     for (size_t k = plan.offsets[u]; k < plan.offsets[u + 1]; ++k) {
-      const EdgeId e = plan.edges[k];
-      const VertexId sink = g.edge(e).to;
+      const VertexId sink = plan.sinks[k];
       if (!sc.row_active[sink]) continue;
-      const double tp_e = sc.tp[e];
-      const double* sink_row =
-          sc.vc.data() + static_cast<size_t>(sink) * num_outs;
-      for (size_t j = 0; j < num_outs; ++j) {
+      const EdgeId e = plan.edges[k];
+      const double tp_e = fwd.tp[e];
+      const double* sink_row = sc.vc.data() + sink * num_outs;
+      double c_max = 0.0;
+      for (size_t r = plan.reach_offsets[sink];
+           r < plan.reach_offsets[sink + 1]; ++r) {
+        const size_t j = plan.reach[r];
         const double mass = sink_row[j];
         if (mass <= prune_epsilon) continue;  // the scatter pass's cutoff
         const double c = mass * tp_e;
         if (c <= 0.0) continue;
-        combine(e, c);
+        if (c > c_max) c_max = c;
         row[j] += c;
         active = true;
       }
+      if (c_max > sc.cm[e]) sc.cm[e] = c_max;
     }
     sc.row_active[u] = active ? 1 : 0;
+  }
+  for (VertexId v : fwd.cone) {
+    if (!sc.row_active[v]) continue;
+    double* row = sc.vc.data() + v * num_outs;
+    for (size_t r = plan.reach_offsets[v]; r < plan.reach_offsets[v + 1]; ++r)
+      row[plan.reach[r]] = 0.0;
+    sc.row_active[v] = 0;
   }
 }
 
 }  // namespace
+
+void arrival_tightness_into(const TimingGraph& g,
+                            std::span<const VertexId> sources,
+                            ArrivalTightness& out) {
+  PropagationResult& r = out.arrivals;
+  ArrivalTightness::Scratch& sc = out.scratch;
+  // No zero-fill: each reached row is written before it is read, and the
+  // sources' rows are cleared below.
+  r.diagnostics = MaxDiagnostics{};
+  if (r.time.rows() != g.num_vertex_slots() || r.time.dim() != g.dim())
+    r.time.reset(g.num_vertex_slots(), g.dim());
+  r.valid.assign(g.num_vertex_slots(), 0);
+  if (out.tp.size() != g.num_edge_slots())
+    out.tp.assign(g.num_edge_slots(), 0.0);
+  out.cone.clear();
+  const std::span<const VertexId> seeds =
+      sources.empty() ? std::span<const VertexId>(g.inputs()) : sources;
+  for (VertexId v : seeds) {
+    HSSTA_REQUIRE(g.vertex_alive(v), "propagation source is dead");
+    HSSTA_REQUIRE(g.vertex(v).fanin.empty(),
+                  "a fused-sweep source must have no fanin");
+    r.valid[v] = 1;
+    const FormView row = r.time.row(v);
+    std::fill_n(row.nominal, r.time.stride(), 0.0);
+  }
+
+  for (VertexId v : g.topo_order()) {
+    if (r.valid[v]) {  // a source
+      out.cone.push_back(v);
+      continue;
+    }
+    const auto& fanin = g.vertex(v).fanin;
+    if (sc.cand.rows() < fanin.size() || sc.cand.dim() != g.dim())
+      sc.cand.reset(fanin.size(), g.dim());
+    sc.cand_edge.clear();
+    for (EdgeId e : fanin) {
+      const timing::TimingEdge& te = g.edge(e);
+      if (!r.valid[te.from]) {
+        out.tp[e] = 0.0;
+        continue;
+      }
+      timing::add_into(sc.cand.row(sc.cand_edge.size()), r.time.row(te.from),
+                       te.delay.view());
+      sc.cand_edge.push_back(e);
+    }
+    const size_t k = sc.cand_edge.size();
+    if (k == 0) continue;  // unreached
+
+    // The arrival is the left-to-right max fold of the candidates, the same
+    // fold propagate_arrivals_into runs, and its tightness split comes
+    // from the same operations.
+    const FormView dst = r.time.row(v);
+    if (k == 1) {
+      timing::form_copy(dst, sc.cand.row(0));
+      out.tp[sc.cand_edge[0]] = 1.0;
+    } else if (k == 2) {
+      const double t = timing::statistical_max_into(
+          dst, sc.cand.row(0), sc.cand.row(1), &r.diagnostics);
+      out.tp[sc.cand_edge[0]] = t;
+      out.tp[sc.cand_edge[1]] = 1.0 - t;
+    } else {
+      timing::tightness_split_into(sc.cand, k, sc.split, sc.folds,
+                                   &r.diagnostics);
+      timing::form_copy(dst, sc.folds.row(k - 1));  // the prefix fold
+      for (size_t t = 0; t < k; ++t) out.tp[sc.cand_edge[t]] = sc.split[t];
+    }
+    r.valid[v] = 1;
+    out.cone.push_back(v);
+  }
+}
+
+ArrivalTightness arrival_tightness(const TimingGraph& g,
+                                   std::span<const VertexId> sources) {
+  ArrivalTightness out;
+  arrival_tightness_into(g, sources, out);
+  return out;
+}
 
 CriticalityResult compute_criticality(const TimingGraph& g,
                                       exec::Executor& ex,
@@ -177,33 +247,33 @@ CriticalityResult compute_criticality(const TimingGraph& g,
   const BackwardPlan plan = make_backward_plan(g);
 
   // Exclusive spans the reset -> region -> merge sequence so concurrent
-  // callers sharing `ex` serialize instead of interleaving workspaces.
+  // callers sharing `ex` serialize instead of interleaving workspaces. The
+  // frontier is cleared in full once per call; within the call each input
+  // clears only the rows it wrote.
   const exec::Executor::Exclusive scope(ex);
   for (size_t w = 0; w < ex.num_workspaces(); ++w) {
     CritScratch& sc = ex.workspace(w).get<CritScratch>();
     sc.cm.assign(g.num_edge_slots(), 0.0);
     sc.diag = MaxDiagnostics{};
+    sc.vc.assign(g.num_vertex_slots() * outs.size(), 0.0);
+    sc.row_active.assign(g.num_vertex_slots(), 0);
   }
 
-  // One work item per input port: forward canonical propagation + fanin
-  // tightness, then one batched backward pass over all outputs. Each
-  // worker folds into its own cm accumulator; io_delays rows are
-  // per-input, so they are written without synchronization.
+  // One work item per input port: the fused forward sweep, then one
+  // batched backward pass over all outputs. Each worker folds into its own
+  // cm accumulator; io_delays rows are per-input, so they are written
+  // without synchronization.
   ex.parallel_for(ins.size(), [&](size_t i, exec::Workspace& ws) {
     CritScratch& sc = ws.get<CritScratch>();
     const VertexId sources[] = {ins[i]};
-    timing::propagate_arrivals_into(g, sources, sc.prop);
-    sc.diag += sc.prop.diagnostics;
-    fanin_tightness_into(g, sc.prop, &sc.diag, sc);
+    arrival_tightness_into(g, sources, sc.fwd);
+    sc.diag += sc.fwd.arrivals.diagnostics;
+    batched_backward(plan, outs, opts.prune_epsilon, sc);
 
-    batched_backward(g, plan, outs, sc.prop, opts.prune_epsilon, sc,
-                     [&](EdgeId e, double c) {
-                       if (c > sc.cm[e]) sc.cm[e] = c;
-                     });
-
+    const PropagationResult& arrival = sc.fwd.arrivals;
     for (size_t j = 0; j < outs.size(); ++j)
-      if (sc.prop.valid[outs[j]])
-        res.io_delays.set(i, j, sc.prop.time.form(outs[j]));
+      if (arrival.valid[outs[j]])
+        res.io_delays.set(i, j, arrival.time.form(outs[j]));
   });
 
   // Merge the per-worker accumulators. max over doubles and integer sums
@@ -224,14 +294,6 @@ CriticalityResult compute_criticality(const TimingGraph& g,
                                       const CriticalityOptions& opts) {
   exec::SerialExecutor ex;
   return compute_criticality(g, ex, opts);
-}
-
-// Declared in paths.hpp; lives here to share the tightness machinery.
-std::vector<double> arrival_tightness(const TimingGraph& g,
-                                      const PropagationResult& arrivals) {
-  CritScratch sc;
-  fanin_tightness_into(g, arrivals, nullptr, sc);
-  return std::move(sc.tp);
 }
 
 }  // namespace hssta::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 
+#include "hssta/core/criticality.hpp"
 #include "hssta/timing/statops.hpp"
 #include "hssta/util/error.hpp"
 
@@ -25,8 +26,9 @@ std::string CriticalPath::format(const TimingGraph& g) const {
 std::vector<CriticalPath> report_critical_paths(const TimingGraph& g,
                                                 size_t k) {
   HSSTA_REQUIRE(k > 0, "need k >= 1 paths");
-  const timing::PropagationResult arrivals = timing::propagate_arrivals(g);
-  const std::vector<double> tp = arrival_tightness(g, arrivals);
+  const ArrivalTightness fused = arrival_tightness(g);
+  const timing::PropagationResult& arrivals = fused.arrivals;
+  const std::vector<double>& tp = fused.tp;
 
   // Output tightness: which output port carries the circuit max.
   std::vector<VertexId> out_vertices;

@@ -6,7 +6,8 @@
 /// the circuit. Under the same conditional-independence approximation as
 /// the criticality engine, it factorizes into the output tightness (the
 /// probability its endpoint is the critical output) times the arrival
-/// tightness of each edge along the path. Paths are enumerated in
+/// tightness of each edge along the path (core::arrival_tightness, the
+/// criticality engine's fused forward sweep). Paths are enumerated in
 /// descending estimated criticality with a best-first backward walk — the
 /// product of probabilities can only shrink along a partial path, so a
 /// priority queue yields the top-k order exactly (w.r.t. the estimates).
@@ -30,12 +31,6 @@ struct CriticalPath {
   /// "in -> g17 -> g42 -> out" style rendering.
   [[nodiscard]] std::string format(const timing::TimingGraph& g) const;
 };
-
-/// Arrival tightness probabilities per edge: tp[e] = P{e carries the
-/// maximal fanin arrival of its sink}, renormalized per vertex (same
-/// quantity the criticality engine uses, exposed for path reporting).
-[[nodiscard]] std::vector<double> arrival_tightness(
-    const timing::TimingGraph& g, const timing::PropagationResult& arrivals);
 
 /// Enumerate the k most critical paths of the full circuit (all inputs
 /// launched at 0). Paths are returned in descending estimated criticality;

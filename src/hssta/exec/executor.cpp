@@ -15,7 +15,7 @@ namespace {
 
 /// Executors whose regions are live on this thread's call stack. Used to
 /// reject nested submission (which would deadlock a pool whose run lock is
-/// already held, and has no meaningful static-chunk semantics).
+/// already held, and has no meaningful static-schedule semantics).
 thread_local std::vector<const Executor*> tl_active;
 
 class ActiveRegion {
@@ -55,6 +55,12 @@ struct ThreadPoolExecutor::Impl {
   explicit Impl(size_t threads)
       : num_threads(threads), workspaces(threads), errors(threads) {}
 
+  /// A worker slot's first failure in the current job, with its index.
+  struct SlotError {
+    size_t index = 0;
+    std::exception_ptr error;
+  };
+
   const size_t num_threads;
   std::vector<Workspace> workspaces;
 
@@ -66,39 +72,52 @@ struct ThreadPoolExecutor::Impl {
   size_t job_slots = 0;  ///< worker slots participating in the current job
   const Task* job_task = nullptr;
   size_t pending = 0;  ///< spawned workers that have not finished the job
-  std::vector<std::exception_ptr> errors;  ///< per worker slot
+  std::vector<SlotError> errors;  ///< per worker slot
   bool shutdown = false;
 
   std::vector<std::thread> workers;  ///< slots 1 .. num_threads-1
 
-  void run_chunk(const Executor* self, size_t slot) {
-    const size_t begin = slot * job_n / job_slots;
-    const size_t end = (slot + 1) * job_n / job_slots;
+  /// Slot `slot` runs indices slot, slot + job_slots, ... in increasing
+  /// order and stops at its first failure.
+  void run_slot(const Executor* self, size_t slot) {
     const ActiveRegion region(self);
-    try {
-      const Task& task = *job_task;
-      Workspace& ws = workspaces[slot];
-      for (size_t i = begin; i < end; ++i) task(i, ws);
-    } catch (...) {
-      errors[slot] = std::current_exception();
+    const Task& task = *job_task;
+    Workspace& ws = workspaces[slot];
+    for (size_t i = slot; i < job_n; i += job_slots) {
+      try {
+        task(i, ws);
+      } catch (...) {
+        errors[slot] = SlotError{i, std::current_exception()};
+        return;
+      }
     }
   }
 
-  /// Run `slots` uniform static chunks of [0, n) and rethrow the
-  /// lowest-slot failure. Caller holds the Exclusive scope.
+  /// Rethrow the failure with the lowest index. Every slot runs its indices
+  /// in order up to its first failure, so the slot dealt the lowest failing
+  /// index reached it: this is the error a serial loop would throw.
+  void rethrow_lowest_failure() {
+    const SlotError* first = nullptr;
+    for (const SlotError& e : errors)
+      if (e.error && (first == nullptr || e.index < first->index)) first = &e;
+    if (first != nullptr) std::rethrow_exception(first->error);
+  }
+
+  /// Deal [0, n) round-robin over `slots` worker slots and rethrow the
+  /// lowest failing index. Caller holds the Exclusive scope.
   void run_job(const Executor* self, size_t n, size_t slots,
                const Task& task) {
     if (slots == 1) {
-      // Inline, but with the same chunk bookkeeping (slot 0, whole range).
+      // Inline, but with the same bookkeeping (slot 0, whole range).
       {
         std::lock_guard<std::mutex> lock(m);
         job_n = n;
         job_slots = 1;
         job_task = &task;
-        errors[0] = nullptr;
+        std::fill(errors.begin(), errors.end(), SlotError{});
       }
-      run_chunk(self, 0);
-      if (errors[0]) std::rethrow_exception(errors[0]);
+      run_slot(self, 0);
+      rethrow_lowest_failure();
       return;
     }
 
@@ -108,22 +127,19 @@ struct ThreadPoolExecutor::Impl {
       job_slots = slots;
       job_task = &task;
       pending = num_threads - 1;
-      std::fill(errors.begin(), errors.end(), nullptr);
+      std::fill(errors.begin(), errors.end(), SlotError{});
       ++generation;
     }
     cv_start.notify_all();
 
-    run_chunk(self, 0);  // the calling thread is worker slot 0
+    run_slot(self, 0);  // the calling thread is worker slot 0
 
     {
       std::unique_lock<std::mutex> lock(m);
       cv_done.wait(lock, [&] { return pending == 0; });
       job_task = nullptr;
     }
-    // Rethrow the lowest-slot failure so the surfaced error is
-    // deterministic.
-    for (size_t slot = 0; slot < num_threads; ++slot)
-      if (errors[slot]) std::rethrow_exception(errors[slot]);
+    rethrow_lowest_failure();
   }
 
   void worker_loop(const Executor* self, size_t slot) {
@@ -136,7 +152,7 @@ struct ThreadPoolExecutor::Impl {
         if (shutdown) return;
         seen = generation;
       }
-      if (slot < job_slots) run_chunk(self, slot);
+      if (slot < job_slots) run_slot(self, slot);
       {
         std::lock_guard<std::mutex> lock(m);
         if (--pending == 0) cv_done.notify_all();

@@ -3,7 +3,7 @@
 ///
 /// The paper's cost profile is dominated by embarrassingly parallel loops:
 /// one canonical propagation per input port (Section III's all-pairs IO
-/// delay matrix), one tightness/backward pass per input (Section IV.B
+/// delay matrix), one fused forward + backward pass per input (Section IV.B
 /// criticality), one scalar evaluation per Monte Carlo sample, one model
 /// extraction per module instance (Fig. 5). Every hot API therefore accepts
 /// an exec::Executor, which turns "how parallel" into a property of the
@@ -15,12 +15,18 @@
 ///
 /// Contract:
 ///  * parallel_for(n, task) invokes task(i, ws) exactly once for every
-///    i in [0, n), partitioned into contiguous static chunks (no work
-///    stealing) so the index -> thread mapping is deterministic;
-///  * each invocation receives the Workspace of the worker slot running it
-///    (scratch reuse across iterations; see workspace.hpp);
-///  * the first exception thrown by a task (lowest worker slot wins) is
-///    rethrown on the calling thread after the region drains;
+///    i in [0, n), dealt round-robin over the T worker slots of the region
+///    (index i runs on slot i mod T, no work stealing) so the index ->
+///    thread mapping is deterministic; with n == T index i runs on slot i.
+///    Per-index cost often follows a structural size (an input's cone), so
+///    dealing spreads neighbouring heavy indices over every slot;
+///  * each slot runs its indices in increasing order, and each invocation
+///    receives the Workspace of the worker slot running it (scratch reuse
+///    across iterations; see workspace.hpp);
+///  * a slot stops at its first failing task; after the region drains, the
+///    exception of the lowest failing index is rethrown on the calling
+///    thread — the error a serial loop would have thrown, at every thread
+///    count;
 ///  * regions do not nest: calling parallel_for on an executor that is
 ///    already running a region on the current call stack throws
 ///    hssta::Error (use a fresh SerialExecutor inside tasks that need an
@@ -97,10 +103,11 @@ class SerialExecutor final : public Executor {
   Workspace workspace_;
 };
 
-/// Persistent thread pool with a static-chunk parallel_for: worker slot w
-/// of W handles [w*n/W, (w+1)*n/W). The calling thread participates as
-/// slot 0, so ThreadPoolExecutor(4) occupies exactly 4 threads. Top-level
-/// regions from different threads are serialized against each other.
+/// Persistent thread pool with a round-robin parallel_for: worker slot w of
+/// W handles indices w, w + W, w + 2W, ... The calling thread participates
+/// as slot 0, so ThreadPoolExecutor(4) occupies exactly 4 threads.
+/// Top-level regions from different threads are serialized against each
+/// other.
 class ThreadPoolExecutor final : public Executor {
  public:
   /// `threads` = 0 picks the hardware concurrency; 1 degenerates to inline

@@ -212,7 +212,7 @@ void DesignState::refresh_design_space(const hier::HierDesign& view) {
   st_->graph.reset_space(st_->design_space);
 }
 
-void DesignState::refresh_coefficients(const hier::HierDesign& view) {
+void DesignState::refresh_coefficients() {
   TimingGraph& g = st_->graph;
   const bool replacement = opts_.mode == hier::CorrelationMode::kReplacement;
   recompute_sigma_multipliers();
@@ -423,7 +423,7 @@ const CanonicalForm& DesignState::analyze() {
       for (size_t c = 0; c < conn_dirty_.size(); ++c)
         if (conn_dirty_[c]) restitch_connection(view, c, seeds);
       if (coeffs_dirty_) {
-        refresh_coefficients(view);
+        refresh_coefficients();
         propagate_full();
       } else if (!seeds.empty()) {
         propagate_cone(seeds);

@@ -166,7 +166,7 @@ class DesignState {
   /// Refresh sigma_mult_ from the current options and stitched layout.
   void recompute_sigma_multipliers();
   void refresh_design_space(const hier::HierDesign& view);
-  void refresh_coefficients(const hier::HierDesign& view);
+  void refresh_coefficients();
   void restitch_instance(const hier::HierDesign& view, size_t t,
                          std::vector<timing::VertexId>& seeds);
   void restitch_connection(const hier::HierDesign& view, size_t c,

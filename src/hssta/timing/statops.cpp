@@ -19,11 +19,26 @@ struct PairStats {
   bool degenerate;
 };
 
+/// Var(A), Var(B) and Cov(A, B) in one pass over the coefficient rows. Each
+/// accumulator keeps the start value and order of form_variance /
+/// form_covariance (variances start at random^2, the covariance at 0), so
+/// the moments are bit-identical to the three separate kernels.
 PairStats pair_stats(ConstFormView a, ConstFormView b) {
+  HSSTA_REQUIRE(a.dim == b.dim, "covariance across different spaces");
   PairStats s{};
-  s.va = form_variance(a);
-  s.vb = form_variance(b);
-  s.cov = form_covariance(a, b);
+  double va = *a.random * *a.random;
+  double vb = *b.random * *b.random;
+  double cov = 0.0;
+  const double* ca = a.corr;
+  const double* cb = b.corr;
+  for (size_t i = 0; i < a.dim; ++i) {
+    va += ca[i] * ca[i];
+    vb += cb[i] * cb[i];
+    cov += ca[i] * cb[i];
+  }
+  s.va = va;
+  s.vb = vb;
+  s.cov = cov;
   const double theta2 = s.va + s.vb - 2.0 * s.cov;
   const double scale = std::max(s.va, s.vb);
   s.degenerate = theta2 <= kDegenerateFrac * scale || theta2 <= 0.0;
@@ -63,8 +78,8 @@ double max_mean(const CanonicalForm& a, const CanonicalForm& b) {
   return max_mean(a.view(), b.view());
 }
 
-void statistical_max_into(FormView dst, ConstFormView a, ConstFormView b,
-                          MaxDiagnostics* diag) {
+double statistical_max_into(FormView dst, ConstFormView a, ConstFormView b,
+                            MaxDiagnostics* diag) {
   HSSTA_REQUIRE(a.dim == b.dim && dst.dim == a.dim,
                 "max across different spaces");
   if (diag) ++diag->ops;
@@ -72,8 +87,9 @@ void statistical_max_into(FormView dst, ConstFormView a, ConstFormView b,
   const PairStats s = pair_stats(a, b);
   if (s.degenerate) {
     if (diag) ++diag->degenerate_theta;
-    form_copy(dst, *a.nominal >= *b.nominal ? a : b);
-    return;
+    const bool a_wins = *a.nominal >= *b.nominal;
+    form_copy(dst, a_wins ? a : b);
+    return a_wins ? 1.0 : 0.0;
   }
 
   const double a0 = *a.nominal;
@@ -108,6 +124,7 @@ void statistical_max_into(FormView dst, ConstFormView a, ConstFormView b,
     *dst.random = 0.0;
     if (diag) ++diag->variance_clamped;
   }
+  return tp;
 }
 
 CanonicalForm statistical_max(const CanonicalForm& a, const CanonicalForm& b,

@@ -44,11 +44,16 @@ struct MaxDiagnostics {
 
 /// dst = statistical max{a, b}, re-linearized, written in place. The hot
 /// kernel of every sweep: no allocation, one pass over the coefficient
-/// rows. `dst` may alias `a` or `b` — all moments (variances, covariance,
-/// nominals) are read before the first write, and the blend loop reads
-/// index i of both inputs before writing index i of dst.
-void statistical_max_into(FormView dst, ConstFormView a, ConstFormView b,
-                          MaxDiagnostics* diag = nullptr);
+/// rows for the moments (Var(A), Var(B) and Cov(A, B) share one loop, each
+/// accumulated in form_variance / form_covariance order, so they are
+/// bit-identical to those kernels) and one for the blend. `dst` may alias
+/// `a` or `b` — all moments (variances, covariance, nominals) are read
+/// before the first write, and the blend loop reads index i of both inputs
+/// before writing index i of dst. Returns the tightness Prob{A >= B} it
+/// blended with — bit-identical to tightness_probability(a, b), including
+/// the 1 / 0 of the degenerate case.
+double statistical_max_into(FormView dst, ConstFormView a, ConstFormView b,
+                            MaxDiagnostics* diag = nullptr);
 
 /// Statistical maximum re-linearized into a fresh canonical form
 /// (boundary-API convenience over statistical_max_into).
@@ -71,6 +76,12 @@ void statistical_max_accumulate(CanonicalForm& acc, const CanonicalForm& b,
 /// `count`). The folds live in `scratch` (reshaped as needed; reusable
 /// across calls, so a warm caller allocates nothing). Throws when `count`
 /// is 0 or exceeds the rows of `xs`.
+///
+/// Postcondition for count > 2: scratch row t holds the prefix fold
+/// max{xs[0], ..., xs[t]}, folded left to right exactly as a sweep folds a
+/// vertex's fanin candidates, so row count-1 is the statistical max of all
+/// `count` rows. The fused criticality sweep reads its arrival from there
+/// instead of folding the candidates a second time.
 void tightness_split_into(const FormBank& xs, size_t count,
                           std::vector<double>& tp, FormBank& scratch,
                           MaxDiagnostics* diag = nullptr);

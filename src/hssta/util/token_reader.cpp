@@ -1,5 +1,7 @@
 #include "hssta/util/token_reader.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -9,10 +11,33 @@
 
 namespace hssta::util {
 
-std::string hexf(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
+HexFloat::HexFloat(double v) {
+  // Subnormals keep printf's text: libstdc++ releases disagree on how
+  // to_chars writes them (glibc's "0x0.0000000000001p-1022" or a
+  // renormalized "0x1p-1074"), and they are too rare to cost anything.
+  if (std::fpclassify(v) == FP_SUBNORMAL) {
+    const int n = std::snprintf(buf_, sizeof(buf_), "%a", v);
+    HSSTA_ASSERT(n > 0 && static_cast<size_t>(n) < sizeof(buf_),
+                 "hex-float buffer too small");
+    len_ = static_cast<size_t>(n);
+    return;
+  }
+  // Otherwise to_chars' hex form is "%a" without the "0x" prefix; printf
+  // also puts the sign first, and writes NaN (sign included) and inf with
+  // no prefix.
+  char* p = buf_;
+  if (!std::isnan(v) && std::signbit(v)) {
+    *p++ = '-';
+    v = -v;
+  }
+  if (std::isfinite(v)) {
+    *p++ = '0';
+    *p++ = 'x';
+  }
+  const std::to_chars_result r =
+      std::to_chars(p, buf_ + sizeof(buf_), v, std::chars_format::hex);
+  HSSTA_ASSERT(r.ec == std::errc(), "hex-float buffer too small");
+  len_ = static_cast<size_t>(r.ptr - buf_);
 }
 
 TokenReader::TokenReader(std::istream& is, std::string noun)

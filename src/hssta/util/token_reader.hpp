@@ -9,12 +9,31 @@
 
 #include <cstddef>
 #include <istream>
+#include <ostream>
 #include <string>
+#include <string_view>
 
 namespace hssta::util {
 
-/// Hex-float text of `v` ("%a"), which parses back to the same bits.
-[[nodiscard]] std::string hexf(double v);
+/// Hex-float text of one double, byte-identical to printf's "%a" (so it
+/// parses back to the same bits), formatted into an inline buffer: the
+/// serializers stream it (`os << hexf(v)`) without a heap allocation per
+/// value.
+class HexFloat {
+ public:
+  explicit HexFloat(double v);
+  [[nodiscard]] std::string_view view() const { return {buf_, len_}; }
+
+ private:
+  char buf_[32];  ///< "-0x1.fffffffffffffp+1023" is the longest, 24 chars
+  size_t len_ = 0;
+};
+
+inline std::ostream& operator<<(std::ostream& os, const HexFloat& h) {
+  return os << h.view();
+}
+
+[[nodiscard]] inline HexFloat hexf(double v) { return HexFloat(v); }
 
 class TokenReader {
  public:

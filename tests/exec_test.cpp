@@ -1,7 +1,9 @@
 // Tests for the exec:: execution layer and its contract with the compute
 // APIs:
-//  * parallel_for correctness (full coverage, static chunking, workspaces),
-//  * exception propagation and nested-submit rejection,
+//  * parallel_for correctness (full coverage, round-robin dealing,
+//    workspaces),
+//  * exception propagation (the lowest failing index surfaces at every
+//    thread count) and nested-submit rejection,
 //  * bit-exact serial vs multi-threaded results for the redesigned hot
 //    paths (IO delays, criticality cm, extraction, MC quantiles),
 //  * thread-safe shared flow::Module / sharded flow::Design handles.
@@ -11,6 +13,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -58,7 +62,8 @@ TEST(Executor, SerialRunsInOrderOnOneWorkspace) {
 
 TEST(Executor, WorkspaceArenaPersistsAcrossRegions) {
   exec::ThreadPoolExecutor pool(2);
-  // With n == concurrency, static chunking maps index i to worker slot i.
+  // With n == concurrency, round-robin dealing maps index i to worker
+  // slot i.
   std::vector<int*> first(2, nullptr);
   pool.parallel_for(2, [&](size_t i, exec::Workspace& ws) {
     int& slot = ws.get<int>();
@@ -96,6 +101,34 @@ TEST(Executor, ExceptionPropagatesAndPoolSurvives) {
                                      if (i == 1) throw Error("task failure");
                                    }),
                Error);
+}
+
+TEST(Executor, LowestFailingIndexSurfacesAtEveryThreadCount) {
+  // Round-robin deals index 6 to a lower slot than index 3 at 2 threads
+  // (slot 0 runs 0, 2, 4, 6; slot 1 runs 1, 3, 5, 7) and at 4 threads
+  // (slot 2 runs 2, 6; slot 3 runs 3, 7), so "lowest slot wins" would
+  // surface index 6's error. The serial loop throws index 3's, and so must
+  // every pool.
+  const auto task = [](size_t i, exec::Workspace&) {
+    if (i == 3) throw Error("task 3 failed");
+    if (i == 6) throw Error("task 6 failed");
+  };
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const std::shared_ptr<exec::Executor> ex = exec::make_executor(threads);
+    for (int rep = 0; rep < 5; ++rep) {
+      try {
+        ex->parallel_for(8, task);
+        ADD_FAILURE() << "parallel_for did not throw";
+      } catch (const Error& e) {
+        EXPECT_STREQ(e.what(), "task 3 failed");
+      }
+    }
+    // A failure does not outlive its region: the next ones, inline (n = 1)
+    // or fanned out, succeed.
+    EXPECT_NO_THROW(ex->parallel_for(1, [](size_t, exec::Workspace&) {}));
+    EXPECT_NO_THROW(ex->parallel_for(8, [](size_t, exec::Workspace&) {}));
+  }
 }
 
 TEST(Executor, RejectsNestedSubmitOnSameExecutor) {

@@ -5,9 +5,9 @@
 //  * the flat FormBank sweeps must be BIT-identical to the legacy
 //    per-vertex engine (timing::legacy_propagate_*, oracles.hpp);
 //  * the batched criticality gather pass must be BIT-identical to the
-//    per-(i, j) scalar scatter pass (pair_criticalities, oracles.hpp) it
-//    replaces in production; any rounding difference between the two is a
-//    bug, not noise;
+//    per-(i, j) scalar scatter pass (scatter_max_criticality, oracles.hpp)
+//    it replaces in production; any rounding difference between the two is
+//    a bug, not noise;
 //  * criticality, all-pairs IO delays and their max diagnostics must be
 //    BIT-identical at 1 / 2 / 4 threads.
 
@@ -59,33 +59,6 @@ void expect_same_matrix(const DelayMatrix& a, const DelayMatrix& b) {
   }
 }
 
-/// The legacy criticality oracle: cm(e) = max over all (i, j) pairs of the
-/// reference scalar scatter pass, clamped at 1 like the production fold.
-std::vector<double> scatter_reference_cm(const TimingGraph& g) {
-  std::vector<double> cm(g.num_edge_slots(), 0.0);
-  for (size_t i = 0; i < g.inputs().size(); ++i) {
-    for (size_t j = 0; j < g.outputs().size(); ++j) {
-      const std::vector<double> c = core::pair_criticalities(g, i, j);
-      for (size_t e = 0; e < cm.size(); ++e) cm[e] = std::max(cm[e], c[e]);
-    }
-  }
-  for (double& c : cm) c = std::min(c, 1.0);
-  return cm;
-}
-
-/// A few-input wide DAG: 2 inputs feeding 48-wide layers, fewer inputs than
-/// the 4 threads of the widest run.
-testing::SyntheticGraphSpec few_input_wide_spec() {
-  testing::SyntheticGraphSpec spec;
-  spec.num_inputs = 2;
-  spec.num_outputs = 5;
-  spec.width = 48;
-  spec.depth = 6;
-  spec.max_fanin = 3;
-  spec.dim = 4;
-  return spec;
-}
-
 TEST(LevelSweepDifferential, BitIdenticalAcrossSchedulesAndThreads) {
   stats::Rng rng(0x5557A5EEDull);
   const size_t kGraphs = 50;
@@ -94,7 +67,8 @@ TEST(LevelSweepDifferential, BitIdenticalAcrossSchedulesAndThreads) {
   for (size_t t = 0; t <= kGraphs; ++t) {
     // The last graph is the few-input wide shape; the rest are random.
     const testing::SyntheticGraphSpec spec =
-        t < kGraphs ? testing::random_spec(rng) : few_input_wide_spec();
+        t < kGraphs ? testing::random_spec(rng)
+                    : testing::few_input_wide_spec();
     const TimingGraph g = testing::make_synthetic_graph(spec, rng);
     SCOPED_TRACE("graph " + std::to_string(t) + ": inputs=" +
                  std::to_string(spec.num_inputs) + " outputs=" +
@@ -108,7 +82,7 @@ TEST(LevelSweepDifferential, BitIdenticalAcrossSchedulesAndThreads) {
     // Serial references: the scatter oracle, the serial criticality run
     // (for its diagnostics) and the serial IO delays. prune_epsilon 0
     // matches the oracle's.
-    const std::vector<double> cm_ref = scatter_reference_cm(g);
+    const std::vector<double> cm_ref = core::scatter_max_criticality(g);
     CriticalityOptions opts;
     opts.prune_epsilon = 0.0;
     const CriticalityResult crit_ref = core::compute_criticality(g, opts);
@@ -244,7 +218,7 @@ TEST(LevelSweepDifferential, CriticalityDiagnosticsMatchAcrossSchedules) {
   stats::Rng rng(99);
   const testing::SyntheticGraphSpec mixed{3, 4, 24, 5, 3, 4};
   for (const testing::SyntheticGraphSpec& spec :
-       {mixed, few_input_wide_spec()}) {
+       {mixed, testing::few_input_wide_spec()}) {
     const TimingGraph g = testing::make_synthetic_graph(spec, rng);
     const CriticalityResult serial = core::compute_criticality(g);
     for (const size_t threads : {size_t{2}, size_t{4}}) {

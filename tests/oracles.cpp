@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "hssta/core/paths.hpp"
 #include "hssta/stats/normal.hpp"
 #include "hssta/timing/propagate.hpp"
 #include "hssta/timing/sta.hpp"
@@ -192,6 +191,35 @@ using timing::PropagationResult;
 using timing::TimingGraph;
 using timing::VertexId;
 
+void fanin_tightness_into(const TimingGraph& g,
+                          const PropagationResult& arrival,
+                          timing::MaxDiagnostics* diag,
+                          std::vector<double>& tp) {
+  tp.assign(g.num_edge_slots(), 0.0);
+  timing::FormBank cand;
+  timing::FormBank split_scratch;
+  std::vector<EdgeId> cand_edge;
+  std::vector<double> split;
+  for (VertexId v : g.topo_order()) {
+    const auto& fanin = g.vertex(v).fanin;
+    if (fanin.empty()) continue;
+    cand_edge.clear();
+    if (cand.rows() < fanin.size() || cand.dim() != g.dim())
+      cand.reset(fanin.size(), g.dim());
+    size_t n = 0;
+    for (EdgeId e : fanin) {
+      const timing::TimingEdge& te = g.edge(e);
+      if (!arrival.valid[te.from]) continue;
+      timing::add_into(cand.row(n), arrival.time.row(te.from), te.delay.view());
+      cand_edge.push_back(e);
+      ++n;
+    }
+    if (n == 0) continue;
+    timing::tightness_split_into(cand, n, split, split_scratch, diag);
+    for (size_t t = 0; t < n; ++t) tp[cand_edge[t]] = split[t];
+  }
+}
+
 namespace {
 
 /// Scalar backward pass for one (input, output) pair — the legacy scatter
@@ -230,7 +258,8 @@ std::vector<double> pair_criticalities(const TimingGraph& g, size_t input,
   PropagationResult arrival;
   const VertexId sources[] = {g.inputs()[input]};
   timing::propagate_arrivals_into(g, sources, arrival);
-  const std::vector<double> tp = arrival_tightness(g, arrival);
+  std::vector<double> tp;
+  fanin_tightness_into(g, arrival, nullptr, tp);
   std::vector<double> c(g.num_edge_slots(), 0.0);
   std::vector<double> vc;
   backward_pass(g, reverse_order, arrival, g.outputs()[output], 0.0, vc, tp,
@@ -242,6 +271,25 @@ double edge_pair_criticality(const TimingGraph& g, EdgeId e, size_t input,
                              size_t output) {
   HSSTA_REQUIRE(g.edge_alive(e), "criticality of a dead edge");
   return pair_criticalities(g, input, output)[e];
+}
+
+std::vector<double> scatter_max_criticality(const TimingGraph& g) {
+  const std::vector<VertexId>& order = g.topo_order();
+  const std::vector<VertexId> reverse_order(order.rbegin(), order.rend());
+  std::vector<double> cm(g.num_edge_slots(), 0.0);
+  PropagationResult arrival;
+  std::vector<double> tp;
+  std::vector<double> vc;
+  for (const VertexId input : g.inputs()) {
+    const VertexId sources[] = {input};
+    timing::propagate_arrivals_into(g, sources, arrival);
+    fanin_tightness_into(g, arrival, nullptr, tp);
+    for (const VertexId output : g.outputs())
+      backward_pass(g, reverse_order, arrival, output, 0.0, vc, tp,
+                    [&](EdgeId e, double c) { cm[e] = std::max(cm[e], c); });
+  }
+  for (double& c : cm) c = std::min(c, 1.0);
+  return cm;
 }
 
 }  // namespace hssta::core

@@ -8,6 +8,9 @@
 //    (the FormBank sweeps must match it bit for bit);
 //  * timing::tightness_split — the allocating span-based split
 //    (tightness_split_into must match it bit for bit);
+//  * core::fanin_tightness_into — the two-pass engine's separate
+//    tightness pass over a finished arrival propagation (the fused sweep,
+//    core::arrival_tightness_into, must match it bit for bit);
 //  * core::pair_criticalities / edge_pair_criticality — the per-(i, j)
 //    scalar scatter pass (the batched gather pass must match it bit for
 //    bit);
@@ -26,6 +29,7 @@
 #include "hssta/stats/rng.hpp"
 #include "hssta/timing/canonical.hpp"
 #include "hssta/timing/graph.hpp"
+#include "hssta/timing/propagate.hpp"
 #include "hssta/timing/statops.hpp"
 
 namespace hssta::timing {
@@ -57,9 +61,22 @@ struct LegacyPropagation {
 
 namespace hssta::core {
 
+/// Fanin tightness probabilities for one finished arrival propagation, the
+/// second pass of the two-pass engine: tp[e] = Prob{edge e carries the
+/// maximal fanin arrival of its sink}, renormalized per vertex. Each
+/// vertex's candidates are rebuilt from `arrival` and split with
+/// tightness_split_into; `tp` is resized to the edge slots and entries of
+/// edges without a candidate are 0. Max operations (the split's prefix and
+/// suffix folds) count into `diag`.
+void fanin_tightness_into(const timing::TimingGraph& g,
+                          const timing::PropagationResult& arrival,
+                          timing::MaxDiagnostics* diag,
+                          std::vector<double>& tp);
+
 /// All per-edge criticalities for one IO pair (one forward + one backward
 /// pass). Entries of dead edges are 0. The per-(i, j) scalar scatter pass
-/// with no pruning cutoff, tightness from core::arrival_tightness.
+/// with no pruning cutoff, over the two-pass engine: arrivals from
+/// timing::propagate_arrivals_into, tightness from fanin_tightness_into.
 [[nodiscard]] std::vector<double> pair_criticalities(
     const timing::TimingGraph& g, size_t input, size_t output);
 
@@ -67,6 +84,13 @@ namespace hssta::core {
 [[nodiscard]] double edge_pair_criticality(const timing::TimingGraph& g,
                                            timing::EdgeId e, size_t input,
                                            size_t output);
+
+/// cm(e) = max over all (i, j) pairs of the same scatter pass (no pruning
+/// cutoff), clamped at 1 like compute_criticality, with one two-pass
+/// forward per input shared by that input's outputs — the pair_criticalities
+/// reference at a cost that reaches the large ISCAS85 profiles.
+[[nodiscard]] std::vector<double> scatter_max_criticality(
+    const timing::TimingGraph& g);
 
 }  // namespace hssta::core
 

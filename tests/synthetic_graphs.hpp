@@ -43,6 +43,19 @@ inline SyntheticGraphSpec random_spec(stats::Rng& rng) {
   return s;
 }
 
+/// A few-input wide DAG: 2 inputs feeding 48-wide layers, fewer inputs than
+/// the 4 threads of the widest parallel run.
+inline SyntheticGraphSpec few_input_wide_spec() {
+  SyntheticGraphSpec spec;
+  spec.num_inputs = 2;
+  spec.num_outputs = 5;
+  spec.width = 48;
+  spec.depth = 6;
+  spec.max_fanin = 3;
+  spec.dim = 4;
+  return spec;
+}
+
 /// A random positive canonical delay.
 inline timing::CanonicalForm random_delay(size_t dim, stats::Rng& rng) {
   timing::CanonicalForm f(dim);

@@ -1,12 +1,17 @@
-// Unit tests for hssta/util: error macros, strings, table, csv, ascii plots.
+// Unit tests for hssta/util: error macros, strings, table, csv, ascii plots,
+// JSON and the hex-float writer of the text serializers.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
+#include "hssta/stats/rng.hpp"
 #include "hssta/util/ascii_plot.hpp"
 #include "hssta/util/csv.hpp"
 #include "hssta/util/error.hpp"
@@ -14,6 +19,7 @@
 #include "hssta/util/strings.hpp"
 #include "hssta/util/table.hpp"
 #include "hssta/util/timer.hpp"
+#include "hssta/util/token_reader.hpp"
 
 namespace hssta {
 namespace {
@@ -238,6 +244,46 @@ TEST(JsonReader, EnforcesDepthLimitAndTypedAccess) {
   EXPECT_THROW((void)v.items()[1].as_count("x"), Error);  // negative
   EXPECT_THROW((void)v.items()[2].as_count("x"), Error);  // > 2^53
   EXPECT_EQ(JsonReader::parse("12").as_count("x"), 12u);
+}
+
+TEST(HexFloat, MatchesPrintfPercentA) {
+  // hexf formats with std::to_chars; the .hstm and .hsds bytes are those
+  // of printf's "%a", so the two must agree on every bit pattern.
+  const auto expect_printf_text = [](double v) {
+    char ref[64];
+    const int n = std::snprintf(ref, sizeof(ref), "%a", v);
+    ASSERT_GT(n, 0);
+    EXPECT_EQ(util::hexf(v).view(), std::string_view(ref, n));
+    std::ostringstream os;
+    os << util::hexf(v);
+    EXPECT_EQ(os.str(), std::string(ref, n));
+  };
+  const auto from_bits = [](uint64_t bits) {
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+  };
+  using limits = std::numeric_limits<double>;
+  const double finite[] = {0.0, 1.0, 0.1, 2.5e-3, limits::max(), limits::min()};
+  for (const double v : finite) {
+    expect_printf_text(v);
+    expect_printf_text(-v);
+  }
+  expect_printf_text(limits::denorm_min());
+  expect_printf_text(-limits::denorm_min());
+  expect_printf_text(limits::infinity());
+  expect_printf_text(-limits::infinity());
+  expect_printf_text(limits::quiet_NaN());
+  expect_printf_text(-limits::quiet_NaN());
+  expect_printf_text(from_bits(0x800fffffffffffffull));  // largest subnormal
+  expect_printf_text(from_bits(0x7ff0000000000001ull));  // signalling NaN
+  expect_printf_text(from_bits(0xfff8000000000001ull));  // NaN with payload
+  stats::Rng rng(0x4E5F);
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t bits = rng.next_u64();
+    expect_printf_text(from_bits(bits));
+    expect_printf_text(from_bits(bits & 0x800fffffffffffffull));  // subnormal
+  }
 }
 
 }  // namespace
