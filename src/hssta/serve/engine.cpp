@@ -1,11 +1,14 @@
 #include "hssta/serve/engine.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <future>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "hssta/check/check.hpp"
+#include "hssta/exec/executor.hpp"
 #include "hssta/flow/chain.hpp"
 #include "hssta/flow/report.hpp"
 #include "hssta/util/error.hpp"
@@ -25,48 +28,58 @@ double seconds_between(std::chrono::steady_clock::time_point a,
 
 }  // namespace
 
-Engine::Engine(EngineOptions opts)
-    : opts_(std::move(opts)), queue_(opts_.queue_capacity) {
-  // Designs and sessions always analyze serially inside their worker slot
-  // (parallelism comes from batching requests across sessions, and serial
+Engine::Engine(EngineOptions opts) : opts_(std::move(opts)) {
+  HSSTA_REQUIRE(opts_.queue_capacity > 0,
+                "serve: queue_capacity must be positive");
+  // Designs and sessions always analyze serially on their worker
+  // (parallelism comes from running lanes side by side, and serial
   // analysis is bit-identical anyway); the config's thread knob must not
   // spawn a pool per loaded design.
   opts_.config.threads = 1;
-  exec_ = exec::make_executor(opts_.threads);
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+  const size_t n = exec::effective_threads(opts_.threads);
+  workers_.reserve(n);
+  for (size_t i = 0; i < n; ++i) workers_.emplace_back([this] { work_loop(); });
 }
 
 Engine::~Engine() {
   request_stop();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  for (std::thread& t : workers_) t.join();
 }
 
 void Engine::submit(std::string line, Done done) {
   n_requests_.fetch_add(1, kRelaxed);
-  Pending p{std::move(line), std::move(done)};
-  const exec::PushResult r = queue_.try_push(p);
-  if (r == exec::PushResult::kOk) return;
-
-  // Rejected up front: answer inline (possibly overtaking queued
-  // responses — the echoed id lets pipelined clients match). Best-effort
-  // id recovery: the line may be arbitrary garbage.
-  std::optional<uint64_t> id;
+  Admitted job;
   try {
-    const util::JsonValue doc = util::JsonReader::parse(p.line);
-    if (doc.is_object())
-      if (const util::JsonValue* v = doc.find("id")) id = v->as_count("id");
-  } catch (const std::exception&) {
+    job.request = parse_request(line);
+  } catch (const std::exception& e) {
+    n_error_.fetch_add(1, kRelaxed);
+    done(error_response(std::nullopt, kBadRequest, e.what()));
+    return;
+  }
+  if (is_session_verb(job.request.verb)) job.lane = job.request.session;
+
+  bool closed = false;
+  {
+    std::lock_guard<std::mutex> lock(lanes_mu_);
+    closed = closed_;
+    if (!closed && waiting_.size() < opts_.queue_capacity) {
+      job.done = std::move(done);
+      waiting_.push_back(std::move(job));
+      work_cv_.notify_one();
+      return;
+    }
   }
   n_error_.fetch_add(1, kRelaxed);
-  if (r == exec::PushResult::kFull) {
-    n_backpressure_.fetch_add(1, kRelaxed);
-    p.done(error_response(id, kBackpressure,
-                          "request queue is full (capacity " +
-                              std::to_string(opts_.queue_capacity) +
-                              "); retry later"));
-  } else {
+  if (closed) {
     n_rejected_shutdown_.fetch_add(1, kRelaxed);
-    p.done(error_response(id, kShuttingDown, "server is shutting down"));
+    done(error_response(job.request.id, kShuttingDown,
+                        "server is shutting down"));
+  } else {
+    n_backpressure_.fetch_add(1, kRelaxed);
+    done(error_response(job.request.id, kBackpressure,
+                        "request queue is full (capacity " +
+                            std::to_string(opts_.queue_capacity) +
+                            "); retry later"));
   }
 }
 
@@ -80,18 +93,22 @@ std::string Engine::request(const std::string& line) {
 }
 
 bool Engine::stopped() const {
-  std::lock_guard<std::mutex> lock(stopped_mu_);
-  return stopped_;
+  std::lock_guard<std::mutex> lock(lanes_mu_);
+  return drained();
 }
 
 void Engine::wait_until_stopped() {
-  std::unique_lock<std::mutex> lock(stopped_mu_);
-  stopped_cv_.wait(lock, [&] { return stopped_; });
+  std::unique_lock<std::mutex> lock(lanes_mu_);
+  stopped_cv_.wait(lock, [&] { return drained(); });
 }
 
 void Engine::request_stop() {
-  stop_requested_.store(true, kRelaxed);
-  queue_.close();
+  {
+    std::lock_guard<std::mutex> lock(lanes_mu_);
+    closed_ = true;
+  }
+  work_cv_.notify_all();
+  stopped_cv_.notify_all();
 }
 
 EngineStats Engine::stats_snapshot() const {
@@ -111,70 +128,49 @@ EngineStats Engine::stats_snapshot() const {
   return s;
 }
 
-void Engine::dispatch_loop() {
-  for (;;) {
-    std::vector<Pending> batch = queue_.pop_batch(opts_.batch_max);
-    if (batch.empty()) break;  // closed and drained
-    evict_idle_sessions();
-    run_batch(std::move(batch));
-    n_batches_.fetch_add(1, kRelaxed);
-  }
-  {
-    std::lock_guard<std::mutex> lock(stopped_mu_);
-    stopped_ = true;
-  }
-  stopped_cv_.notify_all();
+bool Engine::lane_running(uint64_t lane) const {
+  return std::find(running_.begin(), running_.end(), lane) != running_.end();
 }
 
-void Engine::run_batch(std::vector<Pending> batch) {
-  std::vector<Work> works(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    works[i].pending = std::move(batch[i]);
+bool Engine::drained() const {
+  return closed_ && waiting_.empty() && running_.empty();
+}
+
+void Engine::work_loop() {
+  const auto idle = [this](const Admitted& a) { return !lane_running(a.lane); };
+  std::unique_lock<std::mutex> lock(lanes_mu_);
+  for (;;) {
+    // The oldest waiting request whose lane is idle, or none once
+    // admission is closed and nothing waits.
+    auto next = waiting_.end();
+    work_cv_.wait(lock, [&] {
+      next = std::find_if(waiting_.begin(), waiting_.end(), idle);
+      return next != waiting_.end() || (closed_ && waiting_.empty());
+    });
+    if (next == waiting_.end()) break;
+    // Evict before marking the lane: a request for a session idle past
+    // the timeout must find it evicted, not keep it alive.
+    evict_idle_sessions();
+    Admitted job = std::move(*next);
+    waiting_.erase(next);
+    running_.push_back(job.lane);
+    lock.unlock();
+
+    n_batches_.fetch_add(1, kRelaxed);
+    std::string response;
     try {
-      works[i].request = parse_request(works[i].pending.line);
-      works[i].parsed = true;
+      response = handle(job.request);
     } catch (const std::exception& e) {
       n_error_.fetch_add(1, kRelaxed);
-      works[i].response = error_response(std::nullopt, kBadRequest, e.what());
+      response = error_response(job.request.id, kInternal, e.what());
     }
-  }
+    job.done(std::move(response));
 
-  // Group the batch: one group per addressed session (its requests run
-  // sequentially, in arrival order — the per-session serialization
-  // guarantee), everything else in one ordered control group.
-  std::vector<std::vector<size_t>> groups(1);
-  std::map<uint64_t, size_t> session_group;
-  for (size_t i = 0; i < works.size(); ++i) {
-    if (!works[i].parsed) continue;  // response already filled
-    const Request& req = works[i].request;
-    if (is_session_verb(req.verb)) {
-      const auto [it, fresh] =
-          session_group.try_emplace(req.session, groups.size());
-      if (fresh) groups.emplace_back();
-      groups[it->second].push_back(i);
-    } else {
-      groups[0].push_back(i);
-    }
+    lock.lock();
+    std::erase(running_, job.lane);
+    work_cv_.notify_all();
+    if (drained()) stopped_cv_.notify_all();
   }
-
-  {
-    exec::Executor::Exclusive lock(*exec_);
-    exec_->parallel_for(groups.size(), [&](size_t g, exec::Workspace&) {
-      for (const size_t i : groups[g]) {
-        Work& w = works[i];
-        try {
-          w.response = handle(w.request);
-        } catch (const std::exception& e) {
-          n_error_.fetch_add(1, kRelaxed);
-          w.response = error_response(w.request.id, kInternal, e.what());
-        }
-      }
-    });
-  }
-
-  // Deliver in arrival order after the batch barrier, so every submitter
-  // sees its responses in request order.
-  for (Work& w : works) w.pending.done(std::move(w.response));
 }
 
 void Engine::evict_idle_sessions() {
@@ -182,8 +178,9 @@ void Engine::evict_idle_sessions() {
   const Clock::time_point now = Clock::now();
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if (seconds_between(it->second->last_used, now) >
-        opts_.idle_timeout_seconds) {
+    if (!lane_running(it->first) &&
+        seconds_between(it->second->last_used, now) >
+            opts_.idle_timeout_seconds) {
       evicted_ids_.insert(it->first);
       it = sessions_.erase(it);
       n_evicted_.fetch_add(1, kRelaxed);
@@ -231,9 +228,10 @@ std::string Engine::handle_load_design(const Request& req) {
     }
   }
 
-  // Build + analyze outside the lock (expensive; the control group is
-  // sequential, so no two loads race anyway). The warm base every session
-  // will copy from is the design's incremental state, fully analyzed here.
+  // Build + analyze outside the lock (expensive; the control lane runs one
+  // request at a time, so no two loads race anyway). The warm base every
+  // session will copy from is the design's incremental state, fully
+  // analyzed here.
   WallTimer timer;
   flow::Design design =
       flow::build_chain_design(req.name, req.files, opts_.config);
@@ -283,7 +281,7 @@ std::string Engine::handle_load_design(const Request& req) {
 }
 
 std::string Engine::handle_open_session(const Request& req) {
-  std::shared_ptr<Session> session;
+  std::ostringstream os;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = designs_.find(req.design);
@@ -303,21 +301,21 @@ std::string Engine::handle_open_session(const Request& req) {
     // Copy the analyzed warm base: the clean prefix (stitched graph,
     // provenance, design PCA, arrivals) shares by copy — nothing
     // recomputes until the session's first change.
-    session = std::make_shared<Session>(id, req.design,
-                                        it->second->design.incremental());
+    auto session = std::make_shared<Session>(id, req.design,
+                                             it->second->design.incremental());
     session->last_used = Clock::now();
-    sessions_.emplace(id, session);
+    // Answer before publishing: once in the map, the session belongs to
+    // its lane, which may already hold a request for this id.
+    util::JsonWriter w(os);
+    begin_response(w, req.id, /*ok=*/true);
+    w.key("session").value(id);
+    w.key("design").value(session->design);
+    w.key("delay");
+    flow::delay_json(w, session->state.delay());
+    w.end_object();
+    sessions_.emplace(id, std::move(session));
   }
   n_opened_.fetch_add(1, kRelaxed);
-
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  begin_response(w, req.id, /*ok=*/true);
-  w.key("session").value(session->id);
-  w.key("design").value(session->design);
-  w.key("delay");
-  flow::delay_json(w, session->state.delay());
-  w.end_object();
   n_ok_.fetch_add(1, kRelaxed);
   return os.str();
 }
@@ -528,7 +526,6 @@ std::string Engine::handle_stats(const Request& req) {
   w.key("options").begin_object();
   w.key("threads").value(exec::effective_threads(opts_.threads));
   w.key("queue_capacity").value(opts_.queue_capacity);
-  w.key("batch_max").value(opts_.batch_max);
   w.key("idle_timeout_seconds").value(opts_.idle_timeout_seconds);
   w.key("max_sessions").value(opts_.max_sessions);
   w.end_object();
@@ -569,7 +566,7 @@ std::string Engine::handle_save_session(const Request& req) {
 
 std::string Engine::handle_restore_session(const Request& req) {
   // A control verb (it creates a session rather than addressing one), so
-  // it runs in the sequential control group; the expensive load + analyze
+  // it runs on the sequential control lane; the expensive load + analyze
   // happens outside mu_ like load_design's build.
   std::optional<incr::DesignState> state;
   try {
@@ -584,7 +581,7 @@ std::string Engine::handle_restore_session(const Request& req) {
     return error_response(req.id, kBadRequest, e.what());
   }
 
-  std::shared_ptr<Session> session;
+  std::ostringstream os;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (sessions_.size() >= opts_.max_sessions) {
@@ -598,22 +595,21 @@ std::string Engine::handle_restore_session(const Request& req) {
     // Copy the name out first: make_shared's argument evaluation order is
     // unspecified, so `state->inputs().name` may read a moved-from state.
     std::string design = state->inputs().name;
-    session = std::make_shared<Session>(id, std::move(design),
-                                        std::move(*state));
+    auto session = std::make_shared<Session>(id, std::move(design),
+                                             std::move(*state));
     session->last_used = Clock::now();
-    sessions_.emplace(id, session);
+    // Answer before publishing, as open_session does.
+    util::JsonWriter w(os);
+    begin_response(w, req.id, /*ok=*/true);
+    w.key("session").value(id);
+    w.key("design").value(session->design);
+    w.key("file").value(req.file);
+    w.key("delay");
+    flow::delay_json(w, session->state.delay());
+    w.end_object();
+    sessions_.emplace(id, std::move(session));
   }
   n_opened_.fetch_add(1, kRelaxed);
-
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  begin_response(w, req.id, /*ok=*/true);
-  w.key("session").value(session->id);
-  w.key("design").value(session->design);
-  w.key("file").value(req.file);
-  w.key("delay");
-  flow::delay_json(w, session->state.delay());
-  w.end_object();
   n_ok_.fetch_add(1, kRelaxed);
   return os.str();
 }
@@ -643,9 +639,9 @@ std::string Engine::handle_close_session(const Request& req) {
 }
 
 std::string Engine::handle_shutdown(const Request& req) {
-  // Closing the queue rejects new requests ("shutting_down"); everything
-  // already accepted — this batch included — still drains before the
-  // dispatcher signals stopped().
+  // Closing admission rejects new requests ("shutting_down"); everything
+  // already accepted — requests running beside this one included — still
+  // drains before stopped() turns true.
   request_stop();
   std::ostringstream os;
   util::JsonWriter w(os);

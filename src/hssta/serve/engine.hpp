@@ -12,31 +12,37 @@
 /// re-propagates only the dirty cone, exactly like `hssta_cli eco`, and
 /// returns bit-identical numbers.
 ///
-/// Concurrency rides the existing exec::Executor as a batch dispatcher:
+/// Concurrency runs on per-session lanes. A session verb's lane is its
+/// session id; every other verb shares one control lane.
 ///
-///   submit() ──► BoundedQueue (admission control: a full queue answers
-///                "backpressure" immediately instead of stalling readers)
-///        dispatcher thread pops a batch, groups it — session verbs by
-///        session id, everything else into one ordered control group —
-///        and fans the groups across the executor with one parallel_for.
+///   submit() parses the line (a bad one is answered at once with
+///   "bad_request"), picks the lane and admits the request into the
+///   engine's FIFO. After shutdown it answers "shutting_down"; when
+///   queue_capacity requests are already waiting to start it answers
+///   "backpressure". Rejections echo the request's id.
+///   `threads` workers each take the oldest waiting request whose lane is
+///   idle, run it and deliver its response at once, then free the lane.
 ///
-/// Per-session serialization falls out of the grouping: all of a
-/// session's requests in a batch run in one group, in arrival order, so
-/// a session's changes stay ordered no matter how many connections issue
-/// them. Sessions analyze serially inside their group, so every response
-/// is bit-identical to the equivalent one-shot CLI analysis at any client
-/// count and any `threads` setting.
-/// Responses are delivered in batch arrival order after the batch drains;
-/// per-submitter request order is therefore preserved end to end.
+/// A lane runs one request at a time, in arrival order, so a session's
+/// changes stay ordered no matter how many connections issue them, and
+/// the control verbs run one after another. Sessions analyze serially, so
+/// every response is bit-identical to the equivalent one-shot CLI
+/// analysis at any client count and any `threads` setting. Responses are
+/// delivered in completion order: while a worker is free, a fast request
+/// never waits for a slow one on another lane. Same-lane responses keep
+/// arrival order; the socket transport restores per-connection request
+/// order itself.
 ///
-/// Shutdown is graceful by construction: the shutdown verb closes the
-/// queue (new requests are rejected with "shutting_down"), the dispatcher
-/// drains every request accepted before the close — in-flight sweeps
-/// included — and only then signals stopped().
+/// Sessions idle longer than idle_timeout_seconds are evicted each time a
+/// worker takes a request, before it marks that request's lane running.
+/// Eviction skips sessions whose lane is running, so no session is evicted
+/// mid-request, and a request for a session idle past the timeout gets an
+/// "unknown_session" error naming the eviction.
 ///
-/// Sessions idle longer than idle_timeout_seconds are evicted between
-/// batches; a request against an evicted id gets an "unknown_session"
-/// error naming the eviction.
+/// Shutdown is graceful by construction: the shutdown verb (or
+/// request_stop) closes admission, the workers finish every request
+/// accepted before the close — in-flight sweeps included — and stopped()
+/// turns true once nothing waits or runs; then each worker exits.
 
 #pragma once
 
@@ -44,18 +50,16 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "hssta/exec/executor.hpp"
-#include "hssta/exec/queue.hpp"
 #include "hssta/flow/design.hpp"
 #include "hssta/incr/design_state.hpp"
 #include "hssta/serve/protocol.hpp"
@@ -63,24 +67,21 @@
 namespace hssta::serve {
 
 struct EngineOptions {
-  /// Worker threads for the request-batch executor (0 = hardware
-  /// concurrency). Purely a throughput knob: responses are bit-identical
-  /// at any width.
+  /// Worker threads (0 = hardware concurrency). Purely a throughput knob:
+  /// responses are bit-identical at any width.
   size_t threads = 0;
-  /// Bounded request queue capacity — the admission-control depth. A full
-  /// queue rejects new requests with a "backpressure" error immediately.
+  /// Admission-control depth: how many requests may wait to start. Beyond
+  /// it new requests are rejected with a "backpressure" error at once.
+  /// Must be positive.
   size_t queue_capacity = 256;
-  /// Max requests dispatched per batch.
-  size_t batch_max = 32;
-  /// Sessions idle longer than this are evicted between batches
-  /// (0 disables eviction).
+  /// Sessions idle longer than this are evicted (0 disables eviction).
   double idle_timeout_seconds = 600.0;
   /// Max concurrently open sessions; opens beyond it get "saturated".
   size_t max_sessions = 256;
   /// Base configuration for load_design and swap-variant loading.
-  /// Server-side designs and sessions always analyze serially inside
-  /// their worker slot (parallelism comes from batching requests across
-  /// sessions), so cfg.threads is deliberately ignored here.
+  /// Server-side designs and sessions always analyze serially on their
+  /// worker (parallelism comes from running lanes side by side), so
+  /// cfg.threads is deliberately ignored here.
   flow::Config config;
 };
 
@@ -91,6 +92,7 @@ struct EngineStats {
   uint64_t responses_error = 0;
   uint64_t rejected_backpressure = 0;
   uint64_t rejected_shutdown = 0;
+  /// Dispatches: one per request a worker handled.
   uint64_t batches = 0;
   uint64_t sessions_opened = 0;
   uint64_t sessions_closed = 0;
@@ -103,9 +105,10 @@ struct EngineStats {
 class Engine {
  public:
   /// Receives exactly one response line (no trailing newline) per
-  /// submitted request.
+  /// submitted request. Must not throw: it runs on a worker thread.
   using Done = std::function<void(std::string)>;
 
+  /// Starts the workers. Throws hssta::Error when queue_capacity is 0.
   explicit Engine(EngineOptions opts = {});
   /// Stops (as if by request_stop) and drains before destruction.
   ~Engine();
@@ -113,12 +116,14 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Submit one request line. `done` is invoked either by the dispatcher
-  /// after the request's batch completes (per-submitter arrival order
-  /// preserved) or inline from submit() itself when the request is
-  /// rejected up front (queue saturated / shutting down) — rejections may
-  /// therefore overtake queued responses; they carry "code" so pipelined
-  /// clients can tell.
+  /// Submit one request line; `done` receives its response exactly once.
+  /// A rejected line is answered inline, from submit() itself: a line that
+  /// does not parse ("bad_request", no id), and a request arriving after
+  /// shutdown ("shutting_down") or while queue_capacity requests wait to
+  /// start ("backpressure"), both with the request's id. An admitted
+  /// request is answered from the worker that ran it, as soon as it
+  /// finishes. Requests on one lane are answered in submission order;
+  /// across lanes, in completion order.
   void submit(std::string line, Done done);
 
   /// Synchronous round trip (tests, the stdio transport).
@@ -139,23 +144,25 @@ class Engine {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct Pending {
-    std::string line;
-    Done done;
-  };
+  /// The control verbs' lane. Session ids start at 1, so lane 0 is free
+  /// (a session verb naming session 0 shares it and is answered
+  /// "unknown_session").
+  static constexpr uint64_t kControlLane = 0;
 
-  /// One parsed request within a batch, plus its slot for the response.
-  struct Work {
-    Pending pending;
+  /// One admitted request, waiting for its lane to be idle.
+  struct Admitted {
     Request request;
-    bool parsed = false;
-    std::string response;  ///< pre-filled with the parse error when !parsed
+    uint64_t lane = kControlLane;
+    Done done;
   };
 
   struct Session {
     uint64_t id = 0;
     std::string design;
     incr::DesignState state;
+    /// Written at creation, then only while the session's lane runs;
+    /// eviction reads it only while the lane does not run, so lanes_mu_
+    /// orders every write before every read.
     Clock::time_point last_used;
     uint64_t ecos = 0;
 
@@ -171,12 +178,18 @@ class Engine {
     explicit Loaded(flow::Design d) : design(std::move(d)) {}
   };
 
-  void dispatch_loop();
-  void run_batch(std::vector<Pending> batch);
+  void work_loop();
+  /// Evict sessions idle past the timeout whose lane is not running.
+  /// Caller holds lanes_mu_.
   void evict_idle_sessions();
+  /// Caller holds lanes_mu_.
+  [[nodiscard]] bool lane_running(uint64_t lane) const;
+  /// Admission is closed and every accepted request has been answered.
+  /// Caller holds lanes_mu_.
+  [[nodiscard]] bool drained() const;
 
-  /// Verb handlers; run on executor workers (or inline). Each returns the
-  /// full response line.
+  /// Verb handlers; run on a worker, one per lane at a time. Each returns
+  /// the full response line.
   [[nodiscard]] std::string handle(const Request& req);
   [[nodiscard]] std::string handle_load_design(const Request& req);
   [[nodiscard]] std::string handle_open_session(const Request& req);
@@ -196,23 +209,25 @@ class Engine {
                                                       const char*& code);
 
   EngineOptions opts_;
-  std::shared_ptr<exec::Executor> exec_;
-  exec::BoundedQueue<Pending> queue_;
-  std::thread dispatcher_;
+
+  /// Admission and lanes: the FIFO of requests waiting to start, the lanes
+  /// of the requests running, and the shutdown state. Taken before mu_
+  /// when both are needed.
+  mutable std::mutex lanes_mu_;
+  std::condition_variable work_cv_;     ///< a lane freed, work or stop came
+  std::condition_variable stopped_cv_;  ///< drained() may have become true
+  std::deque<Admitted> waiting_;
+  std::vector<uint64_t> running_;  ///< at most one entry per lane
+  bool closed_ = false;
 
   /// Loaded designs + sessions. The map structure is guarded by mu_;
-  /// Session objects themselves are only touched by their (unique) batch
-  /// group, Loaded objects only by the control group after load.
+  /// Session objects themselves are only touched from their own lane once
+  /// published, Loaded objects only from the control lane.
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Loaded>> designs_;
   std::map<uint64_t, std::shared_ptr<Session>> sessions_;
   std::set<uint64_t> evicted_ids_;
   uint64_t next_session_ = 1;
-
-  std::atomic<bool> stop_requested_{false};
-  mutable std::mutex stopped_mu_;
-  std::condition_variable stopped_cv_;
-  bool stopped_ = false;
 
   /// Monotonic counters (atomics: bumped from worker threads).
   std::atomic<uint64_t> n_requests_{0}, n_ok_{0}, n_error_{0};
@@ -221,6 +236,9 @@ class Engine {
   std::atomic<uint64_t> n_opened_{0}, n_closed_{0}, n_evicted_{0};
   std::atomic<uint64_t> n_ecos_{0}, n_analyzes_{0}, n_sweeps_{0};
   Clock::time_point started_ = Clock::now();
+
+  /// Last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace hssta::serve

@@ -107,9 +107,10 @@ struct ScenarioSpec {
 /// One parsed request line.
 struct Request {
   Verb verb = Verb::kStats;
-  /// Echoed back in the response when present. Responses are delivered in
-  /// per-connection request order (except up-front rejections, which may
-  /// overtake queued work); ids let pipelined clients match regardless.
+  /// Echoed back in the response when present. The engine answers in
+  /// completion order; the socket transport writes a connection's
+  /// responses in its request order, rejections included. Ids let
+  /// in-process callers match regardless.
   std::optional<uint64_t> id;
   std::string name;                      ///< load_design
   std::vector<std::string> files;        ///< load_design

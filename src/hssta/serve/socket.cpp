@@ -136,16 +136,25 @@ void SocketServer::close_connection(const std::shared_ptr<Conn>& conn) {
   if (!stopping_) finished_.push_back(std::this_thread::get_id());
 }
 
-void SocketServer::write_line(const std::shared_ptr<Conn>& conn,
-                              const std::string& line) {
+void SocketServer::deliver(const std::shared_ptr<Conn>& conn, uint64_t seq,
+                           std::string line) {
   std::lock_guard<std::mutex> lock(conn->mu);
-  if (conn->fd < 0) return;  // client already gone; response dropped
-  std::string out = line;
-  out.push_back('\n');
+  conn->held.emplace(seq, std::move(line));
+  // Write the run of held responses that starts at the next line due.
+  while (!conn->held.empty() && conn->held.begin()->first == conn->next) {
+    write_line(*conn, std::move(conn->held.begin()->second));
+    conn->held.erase(conn->held.begin());
+    ++conn->next;
+  }
+}
+
+void SocketServer::write_line(Conn& conn, std::string line) {
+  if (conn.fd < 0) return;  // client already gone; response dropped
+  line.push_back('\n');
   size_t off = 0;
-  while (off < out.size()) {
+  while (off < line.size()) {
     const ssize_t n =
-        ::send(conn->fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
+        ::send(conn.fd, line.data() + off, line.size() - off, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return;  // broken pipe: client disconnected mid-response
@@ -158,6 +167,7 @@ void SocketServer::read_loop(const std::shared_ptr<Conn>& conn) {
   std::string buffer;
   char chunk[4096];
   bool too_long = false;
+  uint64_t next_seq = 0;  // numbers this connection's requests
   while (!too_long) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
@@ -175,14 +185,18 @@ void SocketServer::read_loop(const std::shared_ptr<Conn>& conn) {
       if (line.empty()) continue;
       // The callback holds the Conn alive past this reader's exit; once
       // the connection is closed its response is dropped.
-      engine_.submit(std::move(line), [conn](std::string response) {
-        write_line(conn, response);
+      const uint64_t seq = next_seq++;
+      engine_.submit(std::move(line), [conn, seq](std::string response) {
+        deliver(conn, seq, std::move(response));
       });
     }
     buffer.erase(0, start);
     too_long = too_long || buffer.size() > kMaxRequestLineBytes;
   }
-  if (too_long) write_line(conn, overlong_line_response());
+  if (too_long) {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    write_line(*conn, overlong_line_response());
+  }
   close_connection(conn);
 }
 

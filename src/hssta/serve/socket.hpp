@@ -4,12 +4,14 @@
 ///
 /// One listener thread accepts connections; each connection gets a reader
 /// thread that splits the byte stream into lines and submits every line
-/// to the engine. Responses are written back (one line each) under a
-/// per-connection write mutex: the engine's dispatcher delivers batch
-/// responses from its own thread while up-front rejections arrive inline
-/// from the reader, so writes must serialize. A connection's responses
-/// arrive in its request order except for those rejections (which carry
-/// "code":"backpressure"/"shutting_down" and the echoed request id).
+/// to the engine. The engine answers each request from whichever thread
+/// finishes it (a worker, or the reader itself for a rejection), in
+/// completion order, so the transport restores request order: the reader
+/// numbers each line it submits, and the connection holds a response
+/// until every earlier response on it is written. A connection's
+/// responses therefore arrive in its request order, rejections
+/// ("bad_request"/"backpressure"/"shutting_down") included. Writes
+/// serialize on a per-connection mutex.
 ///
 /// Sessions are NOT connection-bound: a client may disconnect and resume
 /// its session id over a new connection; abandoned sessions fall to the
@@ -19,10 +21,13 @@
 /// with one bad_request first) it closes its fd and drops the connection,
 /// and the acceptor joins finished readers before starting the next one,
 /// so a long-lived daemon holds fds and threads only for open connections.
-/// Responses still in flight for a closed connection are dropped.
+/// Responses still in flight for a closed connection are dropped; the
+/// over-long line's bad_request is written at once, as the last line.
 
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -52,12 +57,16 @@ class SocketServer {
 
  private:
   /// Shared by a connection's reader thread and the engine callbacks that
-  /// outlive it; writes serialize on `mu`. The reader closes `fd` (under
-  /// `mu`) when it exits, so a late callback sees -1 and drops its
+  /// outlive it; everything below is guarded by `mu`. The reader closes
+  /// `fd` when it exits, so a late callback sees -1 and drops its
   /// response.
   struct Conn {
     int fd = -1;
     std::mutex mu;
+    /// Sequence number of the next response to write.
+    uint64_t next = 0;
+    /// Responses that finished before an earlier one on the connection.
+    std::map<uint64_t, std::string> held;
   };
 
   void accept_loop();
@@ -66,8 +75,12 @@ class SocketServer {
   void close_connection(const std::shared_ptr<Conn>& conn);
   /// Join the readers that have marked themselves finished.
   void join_finished_readers();
-  static void write_line(const std::shared_ptr<Conn>& conn,
-                         const std::string& line);
+  /// Write the response to request `seq` once every earlier one is
+  /// written, and any held responses it unblocks.
+  static void deliver(const std::shared_ptr<Conn>& conn, uint64_t seq,
+                      std::string line);
+  /// Caller holds conn->mu.
+  static void write_line(Conn& conn, std::string line);
 
   Engine& engine_;
   std::string path_;

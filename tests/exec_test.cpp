@@ -10,9 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,7 +20,6 @@
 #include "hssta/core/criticality.hpp"
 #include "hssta/core/io_delays.hpp"
 #include "hssta/exec/executor.hpp"
-#include "hssta/exec/queue.hpp"
 #include "hssta/mc/flat_mc.hpp"
 #include "hssta/mc/hier_mc.hpp"
 #include "hssta/model/extract.hpp"
@@ -369,86 +366,6 @@ TEST(FlowThreads, ConfigRejectsLevelParallelKey) {
           << e.what();
     }
   }
-}
-
-// --- BoundedQueue -----------------------------------------------------------
-
-TEST(BoundedQueue, AdmissionVerdictsAndFifoBatches) {
-  exec::BoundedQueue<int> q(3);
-  for (int i = 0; i < 3; ++i) {
-    int item = i;
-    EXPECT_EQ(q.try_push(item), exec::PushResult::kOk);
-  }
-  int overflow = 99;
-  EXPECT_EQ(q.try_push(overflow), exec::PushResult::kFull);
-  EXPECT_EQ(overflow, 99);  // rejected item stays with the caller
-  EXPECT_EQ(q.size(), 3u);
-
-  const std::vector<int> first = q.pop_batch(2);
-  EXPECT_EQ(first, (std::vector<int>{0, 1}));
-  const std::vector<int> rest = q.pop_batch(10);
-  EXPECT_EQ(rest, (std::vector<int>{2}));
-}
-
-TEST(BoundedQueue, CloseDrainsAcceptedItemsThenReportsEmpty) {
-  exec::BoundedQueue<int> q(4);
-  int a = 1, b = 2;
-  ASSERT_EQ(q.try_push(a), exec::PushResult::kOk);
-  ASSERT_EQ(q.try_push(b), exec::PushResult::kOk);
-  q.close();
-  int late = 3;
-  EXPECT_EQ(q.try_push(late), exec::PushResult::kClosed);
-  EXPECT_TRUE(q.closed());
-  EXPECT_EQ(q.pop_batch(10), (std::vector<int>{1, 2}));  // graceful drain
-  EXPECT_TRUE(q.pop_batch(10).empty());  // closed + drained
-}
-
-TEST(BoundedQueue, PopBlocksUntilPushOrClose) {
-  exec::BoundedQueue<int> q(2);
-  std::atomic<bool> got{false};
-  std::thread consumer([&] {
-    const std::vector<int> batch = q.pop_batch(5);
-    got = batch.size() == 1 && batch[0] == 42;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  int item = 42;
-  ASSERT_EQ(q.try_push(item), exec::PushResult::kOk);
-  consumer.join();
-  EXPECT_TRUE(got.load());
-
-  std::thread waiter([&] { EXPECT_TRUE(q.pop_batch(5).empty()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.close();
-  waiter.join();
-}
-
-TEST(BoundedQueue, ManyProducersNeverLoseOrDuplicateItems) {
-  constexpr int kProducers = 8, kPerProducer = 200;
-  exec::BoundedQueue<int> q(64);
-  std::atomic<int> accepted{0};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p)
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        int item = p * kPerProducer + i;
-        // Spin on kFull: every item must eventually be accepted.
-        while (q.try_push(item) != exec::PushResult::kOk)
-          std::this_thread::yield();
-        ++accepted;
-      }
-    });
-  std::vector<int> seen;
-  std::thread consumer([&] {
-    while (seen.size() < kProducers * kPerProducer) {
-      const std::vector<int> batch = q.pop_batch(16);
-      seen.insert(seen.end(), batch.begin(), batch.end());
-    }
-  });
-  for (std::thread& t : producers) t.join();
-  consumer.join();
-  EXPECT_EQ(accepted.load(), kProducers * kPerProducer);
-  std::sort(seen.begin(), seen.end());
-  for (int i = 0; i < kProducers * kPerProducer; ++i) EXPECT_EQ(seen[i], i);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // End-to-end tests for the serve layer: wire-protocol parsing
-// (serve::protocol), the request engine (sessions, batching, admission
-// control, eviction, graceful shutdown), the Unix-domain-socket transport
-// + client and the stdio stream transport. The load-bearing assertions
+// (serve::protocol), the request engine (sessions, per-session lanes that
+// answer each request when it finishes, admission control, eviction
+// beside running sessions, graceful shutdown), the Unix-domain-socket
+// transport + client (including per-connection response order under
+// pipelining) and the stdio stream transport. The load-bearing assertions
 // are bit-identity ones:
 // every served delay must equal — as a double, bit for bit, through the
 // %.17g JSON round trip — the number a one-shot flow::Design analysis of
@@ -20,6 +22,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -27,9 +30,11 @@
 #include <thread>
 #include <vector>
 
-#include "hssta/exec/queue.hpp"
 #include "hssta/flow/chain.hpp"
 #include "hssta/flow/design.hpp"
+#include "hssta/flow/module.hpp"
+#include "hssta/netlist/bench_io.hpp"
+#include "hssta/netlist/iscas.hpp"
 #include "hssta/serve/client.hpp"
 #include "hssta/serve/engine.hpp"
 #include "hssta/serve/protocol.hpp"
@@ -182,6 +187,19 @@ class ServeTest : public ::testing::Test {
     return std::string(R"({"verb":"load_design","name":")") + design +
            R"(","files":[")" + file("a.bench") + R"(",")" + file("b.bench") +
            R"("]})";
+  }
+
+  /// A load_design (request `id`, design "big") of two instances of the
+  /// synthetic c7552: its extraction holds the control lane for a good
+  /// fraction of a second, long after a small session request is done.
+  [[nodiscard]] std::string slow_load_line(uint64_t id) const {
+    const netlist::Netlist nl =
+        netlist::make_iscas85("c7552", *flow::default_library());
+    const std::string path = file("c7552.bench");
+    std::ofstream(path) << netlist::write_bench_string(nl);
+    return R"({"id":)" + std::to_string(id) +
+           R"(,"verb":"load_design","name":"big","files":[")" + path +
+           R"(",")" + path + R"("]})";
   }
 
   /// Issue a request and parse the response, asserting ok.
@@ -385,7 +403,7 @@ TEST_F(ServeTest, IdleSessionsAreEvictedAndNamedAsSuch) {
   ok(engine, load_line());
   ok(engine, R"({"verb":"open_session","design":"d"})");
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  // Any request triggers the between-batches eviction sweep first.
+  // Taking any request runs the eviction sweep first.
   const JsonValue doc = fail(
       engine, R"({"verb":"analyze","session":1})", serve::kUnknownSession);
   EXPECT_NE(doc.at("error").as_string().find("evicted"), std::string::npos);
@@ -554,11 +572,11 @@ TEST_F(ServeTest, ConcurrentRequestsOnOneSessionSerializeDeterministically) {
 TEST_F(ServeTest, BackpressureRejectsWhenQueueIsFull) {
   serve::EngineOptions opts;
   opts.queue_capacity = 1;
-  opts.batch_max = 1;
   serve::Engine engine(opts);
 
-  // Occupy the dispatcher with an expensive load (model extraction), then
-  // flood: with capacity 1, most of the flood must bounce immediately.
+  // Occupy the control lane with an expensive load (model extraction),
+  // then flood it: the stats wait behind the load, so with capacity 1
+  // most of the flood must bounce immediately.
   std::atomic<int> ok_count{0}, backpressure{0}, done{0};
   engine.submit(load_line(), [&](std::string response) {
     if (response.find("\"ok\":true") != std::string::npos) ++ok_count;
@@ -580,6 +598,12 @@ TEST_F(ServeTest, BackpressureRejectsWhenQueueIsFull) {
   EXPECT_GE(ok_count.load(), 1);  // the load itself, plus accepted stats
   EXPECT_GT(backpressure.load(), 0);
   EXPECT_EQ(ok_count.load() + backpressure.load(), kFlood + 1);
+}
+
+TEST_F(ServeTest, ZeroQueueCapacityIsRejected) {
+  serve::EngineOptions opts;
+  opts.queue_capacity = 0;
+  EXPECT_THROW({ serve::Engine engine(opts); }, Error);
 }
 
 TEST_F(ServeTest, ShutdownDrainsInFlightWorkThenRejects) {
@@ -611,6 +635,97 @@ TEST_F(ServeTest, ShutdownDrainsInFlightWorkThenRejects) {
   const JsonValue doc = JsonReader::parse(rejected);
   EXPECT_FALSE(doc.at("ok").as_bool());
   EXPECT_EQ(doc.at("code").as_string(), "shutting_down");
+}
+
+TEST_F(ServeTest, SlowRequestDoesNotHoldOtherSessions) {
+  serve::EngineOptions opts;
+  opts.threads = 2;
+  serve::Engine engine(opts);
+  ok(engine, load_line());
+  ok(engine, R"({"verb":"open_session","design":"d"})");
+
+  // The load takes the control lane first; the session's analyze,
+  // submitted after it, runs on its own lane and must be answered first.
+  std::atomic<int> finished{0};
+  int load_rank = -1, analyze_rank = -1;
+  std::promise<std::string> load_done, analyze_done;
+  engine.submit(slow_load_line(1), [&](std::string response) {
+    load_rank = finished++;
+    load_done.set_value(std::move(response));
+  });
+  const std::string analyze = R"({"verb":"analyze","session":1})";
+  engine.submit(analyze, [&](std::string response) {
+    analyze_rank = finished++;
+    analyze_done.set_value(std::move(response));
+  });
+  const JsonValue analyzed = JsonReader::parse(analyze_done.get_future().get());
+  const JsonValue loaded = JsonReader::parse(load_done.get_future().get());
+  EXPECT_EQ(analyze_rank, 0);
+  EXPECT_EQ(load_rank, 1);
+  EXPECT_TRUE(loaded.at("ok").as_bool());
+  ASSERT_TRUE(analyzed.at("ok").as_bool());
+  expect_delay_eq(analyzed.at("delay"), reference_delay());
+}
+
+TEST_F(ServeTest, EvictionSweepsBesideConcurrentSessions) {
+  serve::EngineOptions opts;
+  opts.threads = 4;
+  opts.idle_timeout_seconds = 60.0;
+  serve::Engine engine(opts);
+  ok(engine, load_line());
+  constexpr int kSessions = 8, kRounds = 5;
+  for (int s = 0; s < kSessions; ++s)
+    ok(engine, R"({"verb":"open_session","design":"d"})");
+
+  // Serial references per sigma scale (absolute, as in the serialization
+  // test above).
+  std::map<int, timing::CanonicalForm> expected;
+  {
+    flow::Config cfg;
+    flow::Design ref = flow::build_chain_design(
+        "ref", {file("a.bench"), file("b.bench")}, cfg);
+    incr::DesignState& st = ref.incremental();
+    for (int k = 0; k < kRounds; ++k) {
+      st.set_parameter_sigma(0, 1.0 + 0.1 * k);
+      expected.emplace(k, st.analyze());
+    }
+  }
+
+  // Every request a worker takes runs an eviction sweep while the other
+  // sessions' analyzes run: none may be evicted, none may fail.
+  std::vector<std::thread> threads;
+  std::vector<std::string> failures(kSessions);
+  for (int s = 0; s < kSessions; ++s)
+    threads.emplace_back([&, s] {
+      for (int k = 0; k < kRounds; ++k) {
+        char scale[32];
+        std::snprintf(scale, sizeof scale, "%.17g", 1.0 + 0.1 * k);
+        const std::string response = engine.request(
+            R"({"verb":"analyze","session":)" + std::to_string(s + 1) +
+            R"(,"changes":[{"op":"sigma","param":0,"scale":)" + scale +
+            "}]}");
+        const JsonValue doc = JsonReader::parse(response);
+        if (!doc.at("ok").as_bool()) {
+          failures[s] = response;
+          return;
+        }
+        const JsonValue& delay = doc.at("delay");
+        if (delay.at("mean").as_number() != expected.at(k).nominal() ||
+            delay.at("sigma").as_number() != expected.at(k).sigma()) {
+          failures[s] = "delay mismatch vs one-shot reference";
+          return;
+        }
+      }
+    });
+  for (std::thread& t : threads) t.join();
+  for (int s = 0; s < kSessions; ++s)
+    EXPECT_EQ(failures[s], "") << "session " << s + 1;
+
+  const JsonValue stats = ok(engine, R"({"verb":"stats"})");
+  const JsonValue& counters = stats.at("counters");
+  EXPECT_EQ(counters.at("sessions_evicted").as_count("n"), 0u);
+  EXPECT_EQ(counters.at("analyzes").as_count("n"),
+            uint64_t{kSessions * kRounds});
 }
 
 // --- socket transport -------------------------------------------------------
@@ -713,6 +828,37 @@ TEST_F(ServeTest, SessionsSurviveClientDisconnects) {
       R"({"verb":"analyze","session":)" + std::to_string(sid) + "}"));
   EXPECT_TRUE(analyzed.at("ok").as_bool());
   expect_delay_eq(analyzed.at("delay"), reference_delay());
+  engine.request_stop();
+  engine.wait_until_stopped();
+  server.stop();
+}
+
+TEST_F(ServeTest, PipelinedResponsesKeepConnectionOrder) {
+  serve::EngineOptions opts;
+  opts.threads = 2;
+  serve::Engine engine(opts);
+  const std::string socket_path = (dir_ / "serve.sock").string();
+  serve::SocketServer server(engine, socket_path);
+  serve::Client client(socket_path);
+  ASSERT_TRUE(
+      JsonReader::parse(client.request(load_line())).at("ok").as_bool());
+  const std::string open = R"({"verb":"open_session","design":"d"})";
+  const uint64_t sid =
+      JsonReader::parse(client.request(open)).at("session").as_count("session");
+
+  // The engine answers the analyze first (its own lane) and the stats
+  // last (behind the load on the control lane); the connection still
+  // reads the three responses in request order.
+  client.send(slow_load_line(1));
+  client.send(R"({"verb":"stats","id":2})");
+  client.send(R"({"verb":"analyze","id":3,"session":)" +
+              std::to_string(sid) + "}");
+  for (uint64_t id = 1; id <= 3; ++id) {
+    const std::string response = client.recv();
+    const JsonValue doc = JsonReader::parse(response);
+    EXPECT_EQ(doc.at("id").as_count("id"), id) << response;
+    EXPECT_TRUE(doc.at("ok").as_bool()) << response;
+  }
   engine.request_stop();
   engine.wait_until_stopped();
   server.stop();

@@ -37,7 +37,7 @@ int run(int argc, const char* const* argv) {
   bool stdio = false, version = false;
   serve::EngineOptions opts;
   uint64_t threads = 0, queue_cap = opts.queue_capacity;
-  uint64_t batch_max = opts.batch_max, max_sessions = opts.max_sessions;
+  uint64_t max_sessions = opts.max_sessions;
   double idle_timeout = opts.idle_timeout_seconds;
 
   util::ArgParser p("hssta_serve",
@@ -47,11 +47,9 @@ int run(int argc, const char* const* argv) {
   p.flag("--stdio", &stdio,
          "serve one client over stdin/stdout instead of a socket");
   p.option("--threads", &threads, "N",
-           "request-batch worker threads, 0 = all hardware threads");
+           "worker threads running requests, 0 = all hardware threads");
   p.option("--queue-cap", &queue_cap, "N",
            "admission-control queue capacity (default 256)");
-  p.option("--batch-max", &batch_max, "N",
-           "max requests dispatched per batch (default 32)");
   p.option("--idle-timeout", &idle_timeout, "SECONDS",
            "evict sessions idle longer than this, 0 = never (default 600)");
   p.option("--max-sessions", &max_sessions, "N",
@@ -71,7 +69,6 @@ int run(int argc, const char* const* argv) {
 
   opts.threads = threads;
   opts.queue_capacity = queue_cap;
-  opts.batch_max = batch_max;
   opts.idle_timeout_seconds = idle_timeout;
   opts.max_sessions = max_sessions;
   if (!config_file.empty())
