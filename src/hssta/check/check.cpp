@@ -840,7 +840,7 @@ Report run_checks(const model::TimingModel& model,
 
 Report run_checks(const hier::HierDesign& design,
                   const hier::HierOptions& hier_options,
-                  const CheckOptions& options, exec::Executor* ex) {
+                  const CheckOptions& options, exec::Executor& ex) {
   Report rep;
   rep.subject = design.name();
   const size_t n = design.instances().size();
@@ -860,16 +860,10 @@ Report run_checks(const hier::HierDesign& design,
   // Per-instance pass, fanned over the executor; each slot fills its own
   // report so the merge below is deterministic by instance index.
   std::vector<Report> per(n);
-  const auto task = [&](size_t i, exec::Workspace&) {
+  ex.parallel_for(n, [&](size_t i, size_t) {
     Emitter ei(options, per[i]);
     check_instance(ei, design, i, hier_options, owns[i] != 0);
-  };
-  if (ex != nullptr && n > 0) {
-    ex->parallel_for(n, task);
-  } else {
-    exec::SerialExecutor serial;
-    serial.parallel_for(n, task);
-  }
+  });
   for (size_t i = 0; i < n; ++i) merge(rep, std::move(per[i]));
 
   check_design_level(e, design);

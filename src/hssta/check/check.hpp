@@ -29,15 +29,13 @@
 #include <vector>
 
 #include "hssta/check/severity.hpp"
+#include "hssta/exec/executor.hpp"
 #include "hssta/hier/design.hpp"
 #include "hssta/hier/hier_ssta.hpp"
 #include "hssta/model/timing_model.hpp"
 #include "hssta/netlist/netlist.hpp"
 #include "hssta/timing/graph.hpp"
 
-namespace hssta::exec {
-class Executor;
-}
 namespace hssta::util {
 class JsonWriter;
 }
@@ -119,12 +117,12 @@ void merge(Report& into, Report&& from);
 /// floating instance inputs, model<->instance port arity/order at stitch
 /// boundaries, sigma_scale length, off-die instances, cross-instance
 /// variation-space disagreement — plus the model checks for every distinct
-/// model, fanned per-instance over `ex` (serial when null). Does not
-/// require the design to pass HierDesign::validate().
+/// model, fanned per-instance over `ex`. Does not require the design to
+/// pass HierDesign::validate().
 [[nodiscard]] Report run_checks(const hier::HierDesign& design,
                                 const hier::HierOptions& hier_options,
                                 const CheckOptions& options = {},
-                                exec::Executor* ex = nullptr);
+                                exec::Executor& ex = exec::serial());
 
 /// JSON form of a report (util::JsonWriter; schema pinned in report_test):
 /// {"subject":...,"worst":...,"errors":N,"warnings":N,"infos":N,

@@ -88,11 +88,13 @@ BackwardPlan make_backward_plan(const TimingGraph& g) {
   return plan;
 }
 
-/// Per-worker scratch for the per-input criticality passes: the fused
+/// Per-slot scratch for the per-input criticality passes: the fused
 /// forward sweep's state, the batched backward frontier (one row of
-/// |outputs| vertex-criticality masses per vertex slot) and this worker's
-/// cm accumulator (merged by max after a fan-out region).
-struct CritScratch {
+/// |outputs| vertex-criticality masses per vertex slot) and this slot's
+/// cm accumulator (merged by max after a fan-out region). Cache-line
+/// aligned: the slots sit side by side in one vector, and the sweep bumps
+/// its diagnostics counters on every max operation.
+struct alignas(64) CritScratch {
   ArrivalTightness fwd;
   std::vector<double> vc;           ///< row-major [vertex slot][output index]
   std::vector<uint8_t> row_active;  ///< row has mass (or is a seeded output)
@@ -246,25 +248,22 @@ CriticalityResult compute_criticality(const TimingGraph& g,
 
   const BackwardPlan plan = make_backward_plan(g);
 
-  // Exclusive spans the reset -> region -> merge sequence so concurrent
-  // callers sharing `ex` serialize instead of interleaving workspaces. The
-  // frontier is cleared in full once per call; within the call each input
-  // clears only the rows it wrote.
-  const exec::Executor::Exclusive scope(ex);
-  for (size_t w = 0; w < ex.num_workspaces(); ++w) {
-    CritScratch& sc = ex.workspace(w).get<CritScratch>();
+  // Per-slot scratch, private to this call. The frontier is cleared in
+  // full once per call; within the call each input clears only the rows it
+  // wrote.
+  std::vector<CritScratch> scratch(ex.concurrency());
+  for (CritScratch& sc : scratch) {
     sc.cm.assign(g.num_edge_slots(), 0.0);
-    sc.diag = MaxDiagnostics{};
     sc.vc.assign(g.num_vertex_slots() * outs.size(), 0.0);
     sc.row_active.assign(g.num_vertex_slots(), 0);
   }
 
   // One work item per input port: the fused forward sweep, then one
-  // batched backward pass over all outputs. Each worker folds into its own
+  // batched backward pass over all outputs. Each slot folds into its own
   // cm accumulator; io_delays rows are per-input, so they are written
   // without synchronization.
-  ex.parallel_for(ins.size(), [&](size_t i, exec::Workspace& ws) {
-    CritScratch& sc = ws.get<CritScratch>();
+  ex.parallel_for(ins.size(), [&](size_t i, size_t slot) {
+    CritScratch& sc = scratch[slot];
     const VertexId sources[] = {ins[i]};
     arrival_tightness_into(g, sources, sc.fwd);
     sc.diag += sc.fwd.arrivals.diagnostics;
@@ -276,10 +275,9 @@ CriticalityResult compute_criticality(const TimingGraph& g,
         res.io_delays.set(i, j, arrival.time.form(outs[j]));
   });
 
-  // Merge the per-worker accumulators. max over doubles and integer sums
+  // Merge the per-slot accumulators. max over doubles and integer sums
   // are order-insensitive, so this equals the serial fold bit-for-bit.
-  for (size_t w = 0; w < ex.num_workspaces(); ++w) {
-    const CritScratch& sc = ex.workspace(w).get<CritScratch>();
+  for (const CritScratch& sc : scratch) {
     res.diagnostics += sc.diag;
     for (size_t e = 0; e < res.max_criticality.size(); ++e)
       if (sc.cm[e] > res.max_criticality[e])
@@ -288,12 +286,6 @@ CriticalityResult compute_criticality(const TimingGraph& g,
   // Reconvergence can push the tp partition marginally above 1; clamp.
   for (double& c : res.max_criticality) c = std::min(c, 1.0);
   return res;
-}
-
-CriticalityResult compute_criticality(const TimingGraph& g,
-                                      const CriticalityOptions& opts) {
-  exec::SerialExecutor ex;
-  return compute_criticality(g, ex, opts);
 }
 
 }  // namespace hssta::core

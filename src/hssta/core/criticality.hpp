@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "hssta/core/io_delays.hpp"
+#include "hssta/exec/executor.hpp"
 #include "hssta/timing/graph.hpp"
 #include "hssta/timing/propagate.hpp"
 
@@ -83,15 +84,11 @@ struct CriticalityResult {
 
 /// Compute cm for every live edge of `g`. The per-input fused sweeps (and
 /// their batched backward passes over all outputs) fan out across `ex`;
-/// per-worker cm accumulators merge by max afterwards, so the result is
+/// per-slot cm accumulators merge by max afterwards, so the result is
 /// bit-identical at every thread count.
 [[nodiscard]] CriticalityResult compute_criticality(
-    const timing::TimingGraph& g, exec::Executor& ex,
+    const timing::TimingGraph& g, exec::Executor& ex = exec::serial(),
     const CriticalityOptions& opts = {});
-
-/// Serial convenience overload (runs on a call-local SerialExecutor).
-[[nodiscard]] CriticalityResult compute_criticality(
-    const timing::TimingGraph& g, const CriticalityOptions& opts = {});
 
 /// The fused forward sweep of the criticality engine, shared with path
 /// reporting: arrival times from a set of sources plus the arrival

@@ -65,10 +65,11 @@ double DelayMatrix::max_mean_error(const DelayMatrix& reference,
 
 namespace {
 
-/// Per-worker scratch: a reusable propagation result plus the worker's
-/// share of the diagnostics counters (merged after the region; integer
-/// sums, so the merge is independent of the thread partition).
-struct IoDelayScratch {
+/// Per-slot scratch: a reusable propagation result plus the slot's share
+/// of the diagnostics counters (merged after the region; integer sums, so
+/// the merge is independent of the thread partition). Cache-line aligned
+/// so neighbouring slots' counters never share a line.
+struct alignas(64) IoDelayScratch {
   timing::PropagationResult prop;
   timing::MaxDiagnostics diag;
 };
@@ -80,15 +81,11 @@ DelayMatrix all_pairs_io_delays(const TimingGraph& g, exec::Executor& ex,
   const auto& ins = g.inputs();
   const auto& outs = g.outputs();
   DelayMatrix m(ins.size(), outs.size(), g.dim());
-  // Exclusive spans the reset -> region -> merge sequence so concurrent
-  // callers sharing `ex` serialize instead of interleaving workspaces.
-  const exec::Executor::Exclusive scope(ex);
-  for (size_t w = 0; w < ex.num_workspaces(); ++w)
-    ex.workspace(w).get<IoDelayScratch>().diag = timing::MaxDiagnostics{};
+  std::vector<IoDelayScratch> scratch(ex.concurrency());
   // Each row (i, *) is written by exactly one work item, so the matrix
   // needs no synchronization.
-  ex.parallel_for(ins.size(), [&](size_t i, exec::Workspace& ws) {
-    IoDelayScratch& sc = ws.get<IoDelayScratch>();
+  ex.parallel_for(ins.size(), [&](size_t i, size_t slot) {
+    IoDelayScratch& sc = scratch[slot];
     const VertexId sources[] = {ins[i]};
     timing::propagate_arrivals_into(g, sources, sc.prop);
     sc.diag += sc.prop.diagnostics;
@@ -96,15 +93,8 @@ DelayMatrix all_pairs_io_delays(const TimingGraph& g, exec::Executor& ex,
       if (sc.prop.valid[outs[j]]) m.set(i, j, sc.prop.time.form(outs[j]));
   });
   if (diag)
-    for (size_t w = 0; w < ex.num_workspaces(); ++w)
-      *diag += ex.workspace(w).get<IoDelayScratch>().diag;
+    for (const IoDelayScratch& sc : scratch) *diag += sc.diag;
   return m;
-}
-
-DelayMatrix all_pairs_io_delays(const TimingGraph& g,
-                                timing::MaxDiagnostics* diag) {
-  exec::SerialExecutor ex;
-  return all_pairs_io_delays(g, ex, diag);
 }
 
 }  // namespace hssta::core

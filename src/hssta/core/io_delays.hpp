@@ -50,14 +50,10 @@ class DelayMatrix {
 
 /// Compute the delay matrix of a timing graph: one forward propagation per
 /// input port (rows/columns follow g.inputs()/g.outputs() order), fanned
-/// out across `ex` one row per work item with per-thread propagation
+/// out across `ex` one row per work item with per-slot propagation
 /// scratch. Results are bit-identical at every thread count.
 [[nodiscard]] DelayMatrix all_pairs_io_delays(
-    const timing::TimingGraph& g, exec::Executor& ex,
+    const timing::TimingGraph& g, exec::Executor& ex = exec::serial(),
     timing::MaxDiagnostics* diag = nullptr);
-
-/// Serial convenience overload (runs on a call-local SerialExecutor).
-[[nodiscard]] DelayMatrix all_pairs_io_delays(
-    const timing::TimingGraph& g, timing::MaxDiagnostics* diag = nullptr);
 
 }  // namespace hssta::core

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,7 +14,7 @@ namespace hssta::exec {
 
 namespace {
 
-/// Executors whose regions are live on this thread's call stack. Used to
+/// Pools whose regions are live on this thread's call stack. Used to
 /// reject nested submission (which would deadlock a pool whose run lock is
 /// already held, and has no meaningful static-schedule semantics).
 thread_local std::vector<const Executor*> tl_active;
@@ -38,22 +39,18 @@ void require_not_active(const Executor* e) {
 // --- SerialExecutor ---------------------------------------------------------
 
 void SerialExecutor::parallel_for(size_t n, const Task& task) {
-  require_not_active(this);
-  const Exclusive scope(*this);
-  const ActiveRegion region(this);
-  for (size_t i = 0; i < n; ++i) task(i, workspace_);
+  for (size_t i = 0; i < n; ++i) task(i, 0);
 }
 
-Workspace& SerialExecutor::workspace(size_t slot) {
-  HSSTA_REQUIRE(slot == 0, "serial executor has exactly one workspace");
-  return workspace_;
+Executor& serial() {
+  static SerialExecutor instance;
+  return instance;
 }
 
 // --- ThreadPoolExecutor -----------------------------------------------------
 
 struct ThreadPoolExecutor::Impl {
-  explicit Impl(size_t threads)
-      : num_threads(threads), workspaces(threads), errors(threads) {}
+  explicit Impl(size_t threads) : num_threads(threads), errors(threads) {}
 
   /// A worker slot's first failure in the current job, with its index.
   struct SlotError {
@@ -62,7 +59,9 @@ struct ThreadPoolExecutor::Impl {
   };
 
   const size_t num_threads;
-  std::vector<Workspace> workspaces;
+
+  /// Serializes top-level regions from different threads.
+  std::mutex run_mu;
 
   std::mutex m;
   std::condition_variable cv_start;
@@ -82,10 +81,9 @@ struct ThreadPoolExecutor::Impl {
   void run_slot(const Executor* self, size_t slot) {
     const ActiveRegion region(self);
     const Task& task = *job_task;
-    Workspace& ws = workspaces[slot];
     for (size_t i = slot; i < job_n; i += job_slots) {
       try {
-        task(i, ws);
+        task(i, slot);
       } catch (...) {
         errors[slot] = SlotError{i, std::current_exception()};
         return;
@@ -104,7 +102,7 @@ struct ThreadPoolExecutor::Impl {
   }
 
   /// Deal [0, n) round-robin over `slots` worker slots and rethrow the
-  /// lowest failing index. Caller holds the Exclusive scope.
+  /// lowest failing index. Caller holds run_mu.
   void run_job(const Executor* self, size_t n, size_t slots,
                const Task& task) {
     if (slots == 1) {
@@ -159,46 +157,51 @@ struct ThreadPoolExecutor::Impl {
       }
     }
   }
+
+  /// Stop and join every started worker.
+  void stop() {
+    {
+      std::lock_guard<std::mutex> lock(m);
+      shutdown = true;
+    }
+    cv_start.notify_all();
+    for (std::thread& t : workers) t.join();
+  }
 };
 
 ThreadPoolExecutor::ThreadPoolExecutor(size_t threads)
     : threads_(effective_threads(threads)) {
   impl_ = std::make_unique<Impl>(threads_);
   impl_->workers.reserve(threads_ - 1);
-  for (size_t slot = 1; slot < threads_; ++slot)
-    impl_->workers.emplace_back(
-        [this, slot] { impl_->worker_loop(this, slot); });
-}
-
-ThreadPoolExecutor::~ThreadPoolExecutor() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->m);
-    impl_->shutdown = true;
+  try {
+    for (size_t slot = 1; slot < threads_; ++slot)
+      impl_->workers.emplace_back(
+          [this, slot] { impl_->worker_loop(this, slot); });
+  } catch (...) {
+    impl_->stop();  // a joinable std::thread must not be destroyed
+    throw;
   }
-  impl_->cv_start.notify_all();
-  for (std::thread& t : impl_->workers) t.join();
 }
 
-Workspace& ThreadPoolExecutor::workspace(size_t slot) {
-  HSSTA_REQUIRE(slot < threads_, "workspace slot out of range");
-  return impl_->workspaces[slot];
-}
+ThreadPoolExecutor::~ThreadPoolExecutor() { impl_->stop(); }
 
 void ThreadPoolExecutor::parallel_for(size_t n, const Task& task) {
   require_not_active(this);
-  // Serializes top-level regions from different threads (and nests inside
-  // a caller's Exclusive scope on the same thread).
-  const Exclusive scope(*this);
   if (n == 0) return;
+  const std::lock_guard<std::mutex> lock(impl_->run_mu);
   impl_->run_job(this, n, std::min(threads_, n), task);
 }
 
 // --- helpers ----------------------------------------------------------------
 
 size_t effective_threads(size_t threads) {
+  if (threads > kMaxThreads)
+    throw Error("thread count " + std::to_string(threads) +
+                " exceeds exec::kMaxThreads (" + std::to_string(kMaxThreads) +
+                ")");
   if (threads != 0) return threads;
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<size_t>(hw);
+  return std::clamp<size_t>(hw, 1, kMaxThreads);
 }
 
 std::shared_ptr<Executor> make_executor(size_t threads) {

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "hssta/check/check.hpp"
+#include "hssta/exec/executor.hpp"
 #include "hssta/util/error.hpp"
 #include "hssta/util/hash.hpp"
 #include "hssta/util/strings.hpp"
@@ -27,6 +28,14 @@ uint64_t parse_cnt(const std::string& key, const std::string& value) {
   return parse_count("'" + key + "'", value);
 }
 
+/// A thread count: a count that exec::effective_threads accepts (it throws
+/// the named error above exec::kMaxThreads).
+uint64_t parse_threads(const std::string& what, const std::string& value) {
+  const uint64_t n = parse_count(what, value);
+  (void)exec::effective_threads(n);
+  return n;
+}
+
 bool parse_bool(const std::string& key, const std::string& value) {
   if (value == "true" || value == "1" || value == "on") return true;
   if (value == "false" || value == "0" || value == "off") return false;
@@ -38,7 +47,7 @@ bool parse_bool(const std::string& key, const std::string& value) {
 size_t default_threads() {
   if (const char* env = std::getenv("HSSTA_THREADS")) {
     try {
-      return static_cast<size_t>(parse_count("HSSTA_THREADS", env));
+      return static_cast<size_t>(parse_threads("HSSTA_THREADS", env));
     } catch (const Error& e) {
       // A malformed environment value must not make every default-
       // constructed Config throw; fall back to serial — but say so once,
@@ -142,7 +151,7 @@ void Config::set(const std::string& key, const std::string& value) {
   else if (key == "mc.seed")
     mc.seed = parse_cnt(key, value);
   else if (key == "threads" || key == "exec.threads")
-    threads = parse_cnt(key, value);
+    threads = parse_threads("'" + key + "'", value);
   else if (key == "cache.dir")
     cache.dir = value;
   else if (key == "cache.enabled")

@@ -43,9 +43,9 @@ namespace hssta::flow {
 /// The default for Config::threads: the HSSTA_THREADS environment variable
 /// when set (0 there means "hardware concurrency"), otherwise 1 (serial).
 /// Results are bit-identical at every thread count, so the knob is purely
-/// about speed. A malformed value falls back to serial with a one-time
-/// stderr warning (a misconfigured CI job should not silently lose its
-/// parallelism).
+/// about speed. A malformed value, or one above exec::kMaxThreads, falls
+/// back to serial with a one-time stderr warning (a misconfigured CI job
+/// should not silently lose its parallelism).
 [[nodiscard]] size_t default_threads();
 
 /// The default for CacheOptions::dir: the HSSTA_CACHE_DIR environment
@@ -123,9 +123,10 @@ struct Config {
   McOptions mc;
   /// Worker threads for the compute layer ([exec] threads, or the bare key
   /// "threads"): 0 = hardware concurrency, 1 = serial (default; see
-  /// default_threads()). Applies to every executor-driven stage — model
-  /// extraction / criticality, all-pairs IO delays, Monte Carlo batches and
-  /// per-instance design analysis — without changing any result bit.
+  /// default_threads()); the key rejects a count above exec::kMaxThreads.
+  /// Applies to every executor-driven stage — model extraction /
+  /// criticality, all-pairs IO delays, Monte Carlo batches and per-instance
+  /// design analysis — without changing any result bit.
   size_t threads = default_threads();
   /// Unused, and not a config key: every sweep has one schedule. The field
   /// stays only because perfbench/src/characterize.cpp assigns it to

@@ -189,14 +189,12 @@ void Design::prefill_models() const {
     for (const Module* m : todo) (void)m->extract_model();
     return;
   }
-  // Shard per instance-module across the design executor; each task gets a
-  // dedicated serial context (regions do not nest), and the module caches
+  // Shard per instance-module across the design executor; each task
+  // extracts serially (a pool's regions do not nest), and the module caches
   // make every later model() call a lookup.
-  executor().parallel_for(
-      todo.size(), [&](size_t k, exec::Workspace&) {
-        exec::SerialExecutor inner;
-        (void)todo[k]->extract_model(todo[k]->config().extract, inner);
-      });
+  executor().parallel_for(todo.size(), [&](size_t k, size_t) {
+    (void)todo[k]->extract_model(todo[k]->config().extract, exec::serial());
+  });
 }
 
 hier::HierDesign Design::assemble_hier() const {
@@ -252,7 +250,7 @@ check::Report Design::check(const check::CheckOptions& opts) const {
   // (throws), and the whole point here is to diagnose designs that would
   // not survive validation.
   const hier::HierDesign d = assemble_hier();
-  return check::run_checks(d, cfg_.hier, opts, &executor());
+  return check::run_checks(d, cfg_.hier, opts, executor());
 }
 
 const hier::HierResult& Design::analyze() const { return analyze(cfg_.hier); }

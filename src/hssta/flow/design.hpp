@@ -192,7 +192,7 @@ class Design {
   /// (which must see broken designs). Call with `mu_` held.
   [[nodiscard]] hier::HierDesign assemble_hier() const;
   /// Extract every live-module instance's timing model across the design
-  /// executor (dedicated serial context per task); no-op once cached.
+  /// executor (each task extracts on exec::serial()); no-op once cached.
   /// Call with `mu_` held.
   void prefill_models() const;
   /// The design's executor (config threads). Call with `mu_` held.

@@ -28,7 +28,6 @@
 #include "hssta/core/paths.hpp"
 #include "hssta/core/ssta.hpp"
 #include "hssta/exec/executor.hpp"
-#include "hssta/exec/workspace.hpp"
 #include "hssta/hier/design.hpp"
 #include "hssta/hier/design_grid.hpp"
 #include "hssta/hier/hier_ssta.hpp"

@@ -103,20 +103,13 @@ ScenarioRunner::ScenarioRunner(const DesignState& base)
 }
 
 std::vector<ScenarioResult> ScenarioRunner::run(
-    std::span<const Scenario> scenarios) const {
-  exec::SerialExecutor ex;
-  return run(scenarios, ex);
-}
-
-std::vector<ScenarioResult> ScenarioRunner::run(
     std::span<const Scenario> scenarios, exec::Executor& ex) const {
   std::vector<ScenarioResult> out(scenarios.size());
   if (scenarios.empty()) return out;
   // Each slot writes only its own result; per-scenario analysis is serial,
   // so the fan-out never nests regions and the results do not depend on
   // the runner's thread count.
-  const exec::Executor::Exclusive scope(ex);
-  ex.parallel_for(scenarios.size(), [&](size_t i, exec::Workspace&) {
+  ex.parallel_for(scenarios.size(), [&](size_t i, size_t) {
     const Scenario& sc = scenarios[i];
     ScenarioResult& r = out[i];
     r.label = sc.label;

@@ -109,13 +109,11 @@ class ScenarioRunner {
   /// outlive the runner.
   explicit ScenarioRunner(const DesignState& base);
 
-  /// Run every scenario, fanning out across `ex` (the overload without an
-  /// executor uses a serial loop). Results are positionally matched to the
-  /// scenarios and independent of the executor.
+  /// Run every scenario, fanning out across `ex`. Results are positionally
+  /// matched to the scenarios and independent of the executor.
   [[nodiscard]] std::vector<ScenarioResult> run(
-      std::span<const Scenario> scenarios) const;
-  [[nodiscard]] std::vector<ScenarioResult> run(
-      std::span<const Scenario> scenarios, exec::Executor& ex) const;
+      std::span<const Scenario> scenarios,
+      exec::Executor& ex = exec::serial()) const;
 
   /// state_fingerprint() of the base, computed once at construction; the
   /// runner combines it with each scenario's change list to stamp

@@ -145,8 +145,9 @@ stats::EmpiricalDistribution FlatCircuit::sample_delay_with_base(
   // Sample s depends only on (base, s): the batch can be partitioned
   // across threads arbitrarily and still fill the same slot values.
   std::vector<double> values(samples);
-  ex.parallel_for(samples, [&](size_t s, exec::Workspace& ws) {
-    McEvalScratch& sc = ws.get<McEvalScratch>();
+  std::vector<McEvalScratch> scratch(ex.concurrency());
+  ex.parallel_for(samples, [&](size_t s, size_t slot) {
+    McEvalScratch& sc = scratch[slot];
     stats::Rng rng = stats::Rng::from_counter(base, s);
     evaluate_edges(rng, sc);
     values[s] = timing::longest_path(structure_, sc.delays)
@@ -156,11 +157,10 @@ stats::EmpiricalDistribution FlatCircuit::sample_delay_with_base(
 }
 
 stats::EmpiricalDistribution FlatCircuit::sample_delay(
-    size_t samples, stats::Rng& rng) const {
+    size_t samples, stats::Rng& rng, exec::Executor& ex) const {
   // Validate before drawing the stream base so a failed call leaves the
   // caller's generator untouched.
   HSSTA_REQUIRE(samples > 0, "need at least one sample");
-  exec::SerialExecutor ex;
   return sample_delay_with_base(samples, rng.next_u64(), ex);
 }
 

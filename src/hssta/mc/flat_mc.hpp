@@ -25,9 +25,10 @@
 
 namespace hssta::mc {
 
-/// Per-worker sampling scratch: parameter deviates, local grid deviates and
-/// per-arc scalar delays, reused across samples via exec::Workspace.
-struct McEvalScratch {
+/// Per-slot sampling scratch: parameter deviates, local grid deviates and
+/// per-arc scalar delays, reused across the samples one worker slot runs.
+/// Cache-line aligned: a call keeps one per slot, side by side in a vector.
+struct alignas(64) McEvalScratch {
   std::vector<double> global;
   linalg::Matrix local;
   std::vector<double> delays;
@@ -68,14 +69,14 @@ class FlatCircuit {
   /// counter-based: sample s is drawn from its own generator
   /// Rng::from_counter(base, s), where the stream base is one draw from
   /// `rng` — so sample values depend only on (base, s), never on loop
-  /// order or batch size.
+  /// order, batch size or the thread count of `ex`.
   [[nodiscard]] stats::EmpiricalDistribution sample_delay(
-      size_t samples, stats::Rng& rng) const;
+      size_t samples, stats::Rng& rng,
+      exec::Executor& ex = exec::serial()) const;
 
-  /// Same distribution, with the sample batch fanned out across `ex`. The
-  /// stream base is derived as one draw from Rng(seed), so this matches
-  /// the Rng& overload called with Rng(seed) bit-for-bit at every thread
-  /// count.
+  /// Same distribution from a seed: the stream base is one draw from
+  /// Rng(seed), so this matches the Rng& overload called with Rng(seed)
+  /// bit-for-bit at every thread count.
   [[nodiscard]] stats::EmpiricalDistribution sample_delay(
       size_t samples, uint64_t seed, exec::Executor& ex) const;
 

@@ -80,15 +80,6 @@ double ExtractionStats::vertex_ratio() const {
 Extraction extract_timing_model(const timing::BuiltGraph& built,
                                 const variation::ModuleVariation& mv,
                                 std::string name, BoundaryData boundary,
-                                const ExtractOptions& opts) {
-  exec::SerialExecutor ex;
-  return extract_timing_model(built, mv, std::move(name), std::move(boundary),
-                              ex, opts);
-}
-
-Extraction extract_timing_model(const timing::BuiltGraph& built,
-                                const variation::ModuleVariation& mv,
-                                std::string name, BoundaryData boundary,
                                 exec::Executor& ex,
                                 const ExtractOptions& opts) {
   HSSTA_REQUIRE(opts.criticality_threshold >= 0.0 &&

@@ -68,12 +68,7 @@ struct Extraction {
 /// count.
 [[nodiscard]] Extraction extract_timing_model(
     const timing::BuiltGraph& built, const variation::ModuleVariation& mv,
-    std::string name, BoundaryData boundary, exec::Executor& ex,
-    const ExtractOptions& opts = {});
-
-/// Serial convenience overload (runs on a call-local SerialExecutor).
-[[nodiscard]] Extraction extract_timing_model(
-    const timing::BuiltGraph& built, const variation::ModuleVariation& mv,
-    std::string name, BoundaryData boundary, const ExtractOptions& opts = {});
+    std::string name, BoundaryData boundary,
+    exec::Executor& ex = exec::serial(), const ExtractOptions& opts = {});
 
 }  // namespace hssta::model

@@ -364,40 +364,6 @@ Netlist make_stacked_dag(const StackedDagSpec& spec, const CellLibrary& lib,
   return nl;
 }
 
-Netlist make_grid_mesh(const GridMeshSpec& spec, const CellLibrary& lib) {
-  HSSTA_REQUIRE(spec.width >= 1 && spec.height >= 1,
-                "mesh needs at least one cell");
-  Rng rng(spec.seed);
-  Netlist nl(spec.name);
-
-  // Border inputs: one per row on the west edge, one per column north.
-  std::vector<NetId> west(spec.height);
-  for (size_t y = 0; y < spec.height; ++y)
-    west[y] = nl.add_primary_input("w" + std::to_string(y));
-  std::vector<NetId> row(spec.width);
-  for (size_t x = 0; x < spec.width; ++x)
-    row[x] = nl.add_primary_input("n" + std::to_string(x));
-
-  // Cell (x, y) combines its west and north neighbours; `row` carries the
-  // north inputs of the next row, `carry` the west input of the next cell.
-  for (size_t y = 0; y < spec.height; ++y) {
-    NetId carry = west[y];
-    for (size_t x = 0; x < spec.width; ++x) {
-      const std::string tag =
-          "c" + std::to_string(x) + "_" + std::to_string(y);
-      const NetId out = nl.add_net(tag);
-      nl.add_gate(tag + "_g", pick_cell(lib, 2, rng), {carry, row[x]}, out);
-      carry = out;
-      row[x] = out;
-    }
-    nl.mark_primary_output(carry);  // east border
-  }
-  // South border; the corner cell is already marked as the last east PO.
-  for (size_t x = 0; x + 1 < spec.width; ++x) nl.mark_primary_output(row[x]);
-  nl.validate();
-  return nl;
-}
-
 namespace {
 
 /// Helper that tracks gate emission for the arithmetic generators.

@@ -84,21 +84,6 @@ struct StackedDagSpec {
                                        const library::CellLibrary& lib,
                                        RandomDagStats* stats = nullptr);
 
-/// A width x height lattice of 2-input cells: cell (x, y) combines its west
-/// and north neighbours (border cells read primary inputs), the east and
-/// south borders are primary outputs. Deterministic shape: width * height
-/// gates, exactly 2 pins per gate, depth width + height - 1 — a scalable
-/// regular benchmark whose statistics need no repair passes at all.
-struct GridMeshSpec {
-  std::string name = "mesh";
-  size_t width = 32;
-  size_t height = 32;
-  uint64_t seed = 1;
-};
-
-[[nodiscard]] Netlist make_grid_mesh(const GridMeshSpec& spec,
-                                     const library::CellLibrary& lib);
-
 /// Carry-save array multiplier (Braun style) over NOR2/INV cells, mirroring
 /// the documented structure of ISCAS85 c6288. bits_a x bits_b -> product of
 /// bits_a + bits_b bits. For 16x16: 2384 gates, 4736 pins, depth ~90.

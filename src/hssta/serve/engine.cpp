@@ -38,7 +38,14 @@ Engine::Engine(EngineOptions opts) : opts_(std::move(opts)) {
   opts_.config.threads = 1;
   const size_t n = exec::effective_threads(opts_.threads);
   workers_.reserve(n);
-  for (size_t i = 0; i < n; ++i) workers_.emplace_back([this] { work_loop(); });
+  try {
+    for (size_t i = 0; i < n; ++i)
+      workers_.emplace_back([this] { work_loop(); });
+  } catch (...) {
+    request_stop();  // a joinable std::thread must not be destroyed
+    for (std::thread& t : workers_) t.join();
+    throw;
+  }
 }
 
 Engine::~Engine() {
@@ -256,19 +263,19 @@ std::string Engine::handle_load_design(const Request& req) {
     return os.str();
   }
 
-  (void)design.analyze();
-  (void)design.analyze_incremental();
+  // The incremental analysis is bit-identical to a from-scratch one, so
+  // its delay is the answer; no second build is needed.
+  const timing::CanonicalForm delay = design.analyze_incremental();
   const double seconds = timer.seconds();
 
   auto loaded = std::make_unique<Loaded>(std::move(design));
-  const flow::Design& d = loaded->design;
   std::ostringstream os;
   util::JsonWriter w(os);
   begin_response(w, req.id, /*ok=*/true);
   w.key("design").value(req.name);
-  w.key("instances").value(d.num_instances());
+  w.key("instances").value(loaded->design.num_instances());
   w.key("delay");
-  flow::delay_json(w, d.delay());
+  flow::delay_json(w, delay);
   w.key("seconds").value(seconds);
   w.end_object();
 

@@ -18,7 +18,7 @@ HexFloat::HexFloat(double v) {
   if (std::fpclassify(v) == FP_SUBNORMAL) {
     const int n = std::snprintf(buf_, sizeof(buf_), "%a", v);
     HSSTA_ASSERT(n > 0 && static_cast<size_t>(n) < sizeof(buf_),
-                 "hex-float buffer too small");
+                 "hexf buffer too small");
     len_ = static_cast<size_t>(n);
     return;
   }
@@ -36,7 +36,7 @@ HexFloat::HexFloat(double v) {
   }
   const std::to_chars_result r =
       std::to_chars(p, buf_ + sizeof(buf_), v, std::chars_format::hex);
-  HSSTA_ASSERT(r.ec == std::errc(), "hex-float buffer too small");
+  HSSTA_ASSERT(r.ec == std::errc(), "hexf buffer too small");
   len_ = static_cast<size_t>(r.ptr - buf_);
 }
 

@@ -594,7 +594,7 @@ TEST(CheckHier, ParallelAndSerialReportsAreIdentical) {
   const hier::HierOptions hopts;
   const Report serial = check::run_checks(d, hopts);
   const std::shared_ptr<exec::Executor> ex = exec::make_executor(4);
-  const Report parallel = check::run_checks(d, hopts, {}, ex.get());
+  const Report parallel = check::run_checks(d, hopts, {}, *ex);
   EXPECT_EQ(serial.summary(), parallel.summary());
   EXPECT_FALSE(serial.clean());
 }

@@ -54,7 +54,7 @@ TEST(FlowModule, BitMatchesLegacyChainOnIscasFixture) {
   const timing::BuiltGraph built = timing::build_timing_graph(nl, pl, mv);
   const core::SstaResult legacy = core::run_ssta(built.graph);
   const model::Extraction legacy_ex = model::extract_timing_model(
-      built, mv, nl.name(), model::compute_boundary(nl),
+      built, mv, nl.name(), model::compute_boundary(nl), exec::serial(),
       model::ExtractOptions{0.05, true});
 
   // The facade with the default config.

@@ -140,13 +140,14 @@ void check_graph(const TimingGraph& g, Coverage& cov) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     const std::shared_ptr<exec::Executor> ex = exec::make_executor(threads);
 
-    // Fused sweeps, one reused ArrivalTightness per worker; each input is
-    // compared inside its task (the state is overwritten by the next one)
-    // and reported on this thread.
+    // Fused sweeps, one reused ArrivalTightness per worker slot; each input
+    // is compared inside its task (the state is overwritten by the next
+    // one) and reported on this thread.
     std::vector<std::string> mismatch(ins.size());
     std::vector<MaxDiagnostics> sweep_diag(ins.size());
-    ex->parallel_for(ins.size(), [&](size_t i, exec::Workspace& ws) {
-      ArrivalTightness& fused = ws.get<ArrivalTightness>();
+    std::vector<ArrivalTightness> per_slot(ex->concurrency());
+    ex->parallel_for(ins.size(), [&](size_t i, size_t slot) {
+      ArrivalTightness& fused = per_slot[slot];
       const VertexId sources[] = {ins[i]};
       core::arrival_tightness_into(g, sources, fused);
       mismatch[i] = compare(g, refs[i], fused);

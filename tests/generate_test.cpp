@@ -213,23 +213,6 @@ TEST(StackedDag, DeterministicInSeed) {
     EXPECT_EQ(a.gate(g).fanins, b.gate(g).fanins);
 }
 
-TEST(GridMesh, ExactDeterministicStructure) {
-  GridMeshSpec spec;
-  spec.width = 7;
-  spec.height = 5;
-  spec.seed = 3;
-  Netlist nl = make_grid_mesh(spec, lib());
-  nl.validate();
-  EXPECT_EQ(nl.num_gates(), spec.width * spec.height);
-  EXPECT_EQ(nl.num_pins(), 2 * spec.width * spec.height);
-  EXPECT_EQ(nl.primary_inputs().size(), spec.width + spec.height);
-  EXPECT_EQ(nl.primary_outputs().size(), spec.width + spec.height - 1);
-  EXPECT_EQ(nl.depth(), spec.width + spec.height - 1);
-  Netlist again = make_grid_mesh(spec, lib());
-  for (GateId g = 0; g < nl.num_gates(); ++g)
-    EXPECT_EQ(nl.gate(g).type, again.gate(g).type);
-}
-
 TEST(RippleAdder, AddsExhaustivelyFourBits) {
   Netlist nl = make_ripple_adder(4, lib());
   for (uint32_t a = 0; a < 16; ++a) {

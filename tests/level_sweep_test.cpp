@@ -85,9 +85,11 @@ TEST(LevelSweepDifferential, BitIdenticalAcrossSchedulesAndThreads) {
     const std::vector<double> cm_ref = core::scatter_max_criticality(g);
     CriticalityOptions opts;
     opts.prune_epsilon = 0.0;
-    const CriticalityResult crit_ref = core::compute_criticality(g, opts);
+    const CriticalityResult crit_ref =
+        core::compute_criticality(g, exec::serial(), opts);
     MaxDiagnostics io_diag_ref;
-    const DelayMatrix io_ref = core::all_pairs_io_delays(g, &io_diag_ref);
+    const DelayMatrix io_ref =
+        core::all_pairs_io_delays(g, exec::serial(), &io_diag_ref);
 
     for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
       SCOPED_TRACE("threads " + std::to_string(threads));

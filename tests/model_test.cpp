@@ -211,7 +211,8 @@ TEST_F(ExtractionTest, ZeroThresholdStillReduces) {
   ExtractOptions opts;
   opts.criticality_threshold = 0.0;
   Extraction ex = extract_timing_model(built_, mv_, nl_.name(),
-                                       compute_boundary(nl_), opts);
+                                       compute_boundary(nl_), exec::serial(),
+                                       opts);
   EXPECT_EQ(ex.stats.edges_pruned, 0u);
   EXPECT_LT(ex.stats.model_edges, ex.stats.original_edges);
   // Merges are exact on tree paths; serial merges through reconvergent
@@ -228,7 +229,8 @@ TEST_F(ExtractionTest, CompressionGrowsWithThreshold) {
     ExtractOptions opts;
     opts.criticality_threshold = delta;
     Extraction ex = extract_timing_model(built_, mv_, nl_.name(),
-                                         compute_boundary(nl_), opts);
+                                         compute_boundary(nl_),
+                                         exec::serial(), opts);
     EXPECT_LE(ex.stats.model_edges, prev_edges) << "delta " << delta;
     prev_edges = ex.stats.model_edges;
   }
@@ -264,7 +266,8 @@ TEST(Extraction, RepairRestoresPrunedConnectivity) {
   ExtractOptions opts;
   opts.criticality_threshold = 0.3;
   const Extraction ex =
-      extract_timing_model(built, mv, "branches", boundary, opts);
+      extract_timing_model(built, mv, "branches", boundary, exec::serial(),
+                           opts);
   EXPECT_GT(ex.stats.pairs_repaired, 0u);
   const DelayMatrix m = ex.model.io_delays();
   ASSERT_TRUE(m.is_valid(0, 0));
@@ -274,7 +277,8 @@ TEST(Extraction, RepairRestoresPrunedConnectivity) {
   // Without repair the pair goes dark.
   opts.repair_connectivity = false;
   const Extraction bare =
-      extract_timing_model(built, mv, "branches", boundary, opts);
+      extract_timing_model(built, mv, "branches", boundary, exec::serial(),
+                           opts);
   EXPECT_FALSE(bare.model.io_delays().is_valid(0, 0));
 }
 

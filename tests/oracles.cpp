@@ -298,7 +298,7 @@ namespace hssta::mc {
 
 namespace {
 
-/// Per-worker scratch for canonical sampling.
+/// Per-slot scratch for canonical sampling.
 struct CanonicalScratch {
   std::vector<double> y;
   std::vector<double> edge_delay;
@@ -309,8 +309,9 @@ stats::EmpiricalDistribution sample_with_base(const timing::TimingGraph& g,
                                               exec::Executor& ex) {
   HSSTA_REQUIRE(samples > 0, "need at least one sample");
   std::vector<double> values(samples);
-  ex.parallel_for(samples, [&](size_t s, exec::Workspace& ws) {
-    CanonicalScratch& sc = ws.get<CanonicalScratch>();
+  std::vector<CanonicalScratch> scratch(ex.concurrency());
+  ex.parallel_for(samples, [&](size_t s, size_t slot) {
+    CanonicalScratch& sc = scratch[slot];
     stats::Rng rng = stats::Rng::from_counter(base, s);
     sc.y.resize(g.dim());
     for (double& v : sc.y) v = rng.normal();
@@ -332,8 +333,7 @@ stats::EmpiricalDistribution sample_canonical_delay(
   // Validate before drawing the stream base so a failed call leaves the
   // caller's generator untouched.
   HSSTA_REQUIRE(samples > 0, "need at least one sample");
-  exec::SerialExecutor ex;
-  return sample_with_base(g, samples, rng.next_u64(), ex);
+  return sample_with_base(g, samples, rng.next_u64(), exec::serial());
 }
 
 stats::EmpiricalDistribution sample_canonical_delay(

@@ -95,6 +95,7 @@ struct Common {
                            ? flow::Config{}
                            : flow::Config::from_file(config_file);
     if (threads != kThreadsUnset) cfg.threads = threads;
+    (void)exec::effective_threads(cfg.threads);  // reject above the cap now
     if (!cache_dir.empty()) {
       cfg.cache.dir = cache_dir;
       cfg.cache.enabled = true;
