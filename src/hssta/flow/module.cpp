@@ -255,16 +255,6 @@ Module Module::from_bench_string(
   return from_netlist(std::move(nl), std::move(cfg), std::move(lib));
 }
 
-Module Module::from_blif_string(
-    const std::string& text, Config cfg,
-    std::shared_ptr<const library::CellLibrary> lib) {
-  if (!lib) lib = frontend_library(cfg);
-  frontend::BlifOptions opts;
-  opts.model = cfg.frontend.blif_model;
-  netlist::Netlist nl = frontend::read_blif_string(text, *lib, opts);
-  return from_netlist(std::move(nl), std::move(cfg), std::move(lib));
-}
-
 Module Module::from_iscas(std::string_view name, Config cfg, uint64_t seed,
                           std::shared_ptr<const library::CellLibrary> lib) {
   if (!lib) lib = frontend_library(cfg);

@@ -92,10 +92,6 @@ class Module {
   [[nodiscard]] static Module from_bench_string(
       const std::string& text, Config cfg = {},
       std::shared_ptr<const library::CellLibrary> lib = nullptr);
-  /// BLIF text; cfg.frontend.blif_model as for from_file.
-  [[nodiscard]] static Module from_blif_string(
-      const std::string& text, Config cfg = {},
-      std::shared_ptr<const library::CellLibrary> lib = nullptr);
   [[nodiscard]] static Module from_iscas(
       std::string_view name, Config cfg = {}, uint64_t seed = 2009,
       std::shared_ptr<const library::CellLibrary> lib = nullptr);

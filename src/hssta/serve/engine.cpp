@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <exception>
 #include <future>
+#include <iterator>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "hssta/check/check.hpp"
@@ -20,6 +22,33 @@ namespace hssta::serve {
 namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
+
+/// The `stats` verb's counter keys, indexed by Engine::Counter.
+constexpr std::string_view kCounterNames[] = {
+    "requests",
+    "responses_ok",
+    "responses_error",
+    "rejected_backpressure",
+    "rejected_shutdown",
+    "batches",
+    "sessions_opened",
+    "sessions_closed",
+    "sessions_evicted",
+    "ecos",
+    "analyzes",
+    "sweeps",
+};
+
+/// A handler's coded refusal; answer() turns it into the error response.
+struct Refusal {
+  const char* code;
+  std::string message;
+  std::optional<check::Report> report;  ///< "check_failed" only
+};
+
+[[noreturn]] void refuse(const char* code, std::string message) {
+  throw Refusal{code, std::move(message), std::nullopt};
+}
 
 double seconds_between(std::chrono::steady_clock::time_point a,
                        std::chrono::steady_clock::time_point b) {
@@ -54,12 +83,12 @@ Engine::~Engine() {
 }
 
 void Engine::submit(std::string line, Done done) {
-  n_requests_.fetch_add(1, kRelaxed);
+  bump(kRequests);
   Admitted job;
   try {
     job.request = parse_request(line);
   } catch (const std::exception& e) {
-    n_error_.fetch_add(1, kRelaxed);
+    bump(kResponsesError);
     done(error_response(std::nullopt, kBadRequest, e.what()));
     return;
   }
@@ -76,13 +105,13 @@ void Engine::submit(std::string line, Done done) {
       return;
     }
   }
-  n_error_.fetch_add(1, kRelaxed);
+  bump(kResponsesError);
   if (closed) {
-    n_rejected_shutdown_.fetch_add(1, kRelaxed);
+    bump(kRejectedShutdown);
     done(error_response(job.request.id, kShuttingDown,
                         "server is shutting down"));
   } else {
-    n_backpressure_.fetch_add(1, kRelaxed);
+    bump(kRejectedBackpressure);
     done(error_response(job.request.id, kBackpressure,
                         "request queue is full (capacity " +
                             std::to_string(opts_.queue_capacity) +
@@ -118,23 +147,6 @@ void Engine::request_stop() {
   stopped_cv_.notify_all();
 }
 
-EngineStats Engine::stats_snapshot() const {
-  EngineStats s;
-  s.requests = n_requests_.load(kRelaxed);
-  s.responses_ok = n_ok_.load(kRelaxed);
-  s.responses_error = n_error_.load(kRelaxed);
-  s.rejected_backpressure = n_backpressure_.load(kRelaxed);
-  s.rejected_shutdown = n_rejected_shutdown_.load(kRelaxed);
-  s.batches = n_batches_.load(kRelaxed);
-  s.sessions_opened = n_opened_.load(kRelaxed);
-  s.sessions_closed = n_closed_.load(kRelaxed);
-  s.sessions_evicted = n_evicted_.load(kRelaxed);
-  s.ecos = n_ecos_.load(kRelaxed);
-  s.analyzes = n_analyzes_.load(kRelaxed);
-  s.sweeps = n_sweeps_.load(kRelaxed);
-  return s;
-}
-
 bool Engine::lane_running(uint64_t lane) const {
   return std::find(running_.begin(), running_.end(), lane) != running_.end();
 }
@@ -163,15 +175,8 @@ void Engine::work_loop() {
     running_.push_back(job.lane);
     lock.unlock();
 
-    n_batches_.fetch_add(1, kRelaxed);
-    std::string response;
-    try {
-      response = handle(job.request);
-    } catch (const std::exception& e) {
-      n_error_.fetch_add(1, kRelaxed);
-      response = error_response(job.request.id, kInternal, e.what());
-    }
-    job.done(std::move(response));
+    bump(kBatches);
+    job.done(answer(job.request));
 
     lock.lock();
     std::erase(running_, job.lane);
@@ -186,254 +191,217 @@ void Engine::evict_idle_sessions() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = sessions_.begin(); it != sessions_.end();) {
     if (!lane_running(it->first) &&
-        seconds_between(it->second->last_used, now) >
+        seconds_between(it->second.last_used, now) >
             opts_.idle_timeout_seconds) {
       evicted_ids_.insert(it->first);
       it = sessions_.erase(it);
-      n_evicted_.fetch_add(1, kRelaxed);
+      bump(kSessionsEvicted);
     } else {
       ++it;
     }
   }
 }
 
-std::string Engine::handle(const Request& req) {
-  switch (req.verb) {
-    case Verb::kLoadDesign:
-      return handle_load_design(req);
-    case Verb::kOpenSession:
-      return handle_open_session(req);
-    case Verb::kEco:
-      return handle_eco(req);
-    case Verb::kAnalyze:
-      return handle_analyze(req);
-    case Verb::kSweep:
-      return handle_sweep(req);
-    case Verb::kCheck:
-      return handle_check(req);
-    case Verb::kStats:
-      return handle_stats(req);
-    case Verb::kSaveSession:
-      return handle_save_session(req);
-    case Verb::kRestoreSession:
-      return handle_restore_session(req);
-    case Verb::kCloseSession:
-      return handle_close_session(req);
-    case Verb::kShutdown:
-      break;
-  }
-  return handle_shutdown(req);
-}
+void Engine::bump(Counter c) { counters_[c].fetch_add(1, kRelaxed); }
 
-std::string Engine::handle_load_design(const Request& req) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (designs_.count(req.name)) {
-      n_error_.fetch_add(1, kRelaxed);
-      return error_response(req.id, kBadRequest,
-                            "design '" + req.name + "' is already loaded");
-    }
-  }
-
-  // Build + analyze outside the lock (expensive; the control lane runs one
-  // request at a time, so no two loads race anyway). The warm base every
-  // session will copy from is the design's incremental state, fully
-  // analyzed here.
-  WallTimer timer;
-  flow::Design design =
-      flow::build_chain_design(req.name, req.files, opts_.config);
-
-  // Lint before the expensive analysis: a design with error-level static
-  // diagnostics is rejected up front with the full report, instead of the
-  // defect surfacing as a deep exception (an opaque "internal" error)
-  // inside analyze().
-  const check::Report lint = design.check();
-  if (lint.worst() == check::Severity::kError) {
-    n_error_.fetch_add(1, kRelaxed);
+std::string Engine::answer(const Request& req) {
+  try {
+    // The buffer lives inside the try: a handler that throws after
+    // writing part of its payload leaves nothing behind.
+    std::ostringstream os;
+    util::JsonWriter w(os);
+    begin_response(w, req.id, /*ok=*/true);
+    handle(req, w);
+    w.end_object();
+    bump(kResponsesOk);
+    return os.str();
+  } catch (const Refusal& r) {
+    bump(kResponsesError);
+    if (!r.report) return error_response(req.id, r.code, r.message);
     std::ostringstream os;
     util::JsonWriter w(os);
     begin_response(w, req.id, /*ok=*/false);
-    w.key("code").value(kCheckFailed);
-    w.key("error").value(
-        "design '" + req.name + "' failed static checks (" +
-        std::to_string(lint.count(check::Severity::kError)) + " error(s))");
+    w.key("code").value(r.code);
+    w.key("error").value(r.message);
     w.key("report");
-    check::write_report(w, lint);
+    check::write_report(w, *r.report);
     w.end_object();
     return os.str();
+  } catch (const std::exception& e) {
+    bump(kResponsesError);
+    return error_response(req.id, kInternal, e.what());
+  }
+}
+
+void Engine::handle(const Request& req, util::JsonWriter& w) {
+  switch (req.verb) {
+    case Verb::kLoadDesign:
+      return handle_load_design(req, w);
+    case Verb::kOpenSession:
+      return handle_open_session(req, w);
+    case Verb::kEco:
+      return handle_eco(req, w);
+    case Verb::kAnalyze:
+      return handle_analyze(req, w);
+    case Verb::kSweep:
+      return handle_sweep(req, w);
+    case Verb::kCheck:
+      return handle_check(req, w);
+    case Verb::kStats:
+      return handle_stats(req, w);
+    case Verb::kSaveSession:
+      return handle_save_session(req, w);
+    case Verb::kRestoreSession:
+      return handle_restore_session(req, w);
+    case Verb::kCloseSession:
+      return handle_close_session(req, w);
+    case Verb::kShutdown:
+      break;
+  }
+  return handle_shutdown(req, w);
+}
+
+const flow::Design& Engine::design(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = designs_.find(name);
+  if (it == designs_.end())
+    refuse(kUnknownDesign, "no design named '" + name + "' is loaded");
+  return it->second;
+}
+
+Engine::Session& Engine::session(const Request& req) {
+  const uint64_t id = req.session;
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = sessions_.find(id);
+  if (it != sessions_.end()) {
+    it->second.last_used = Clock::now();
+    return it->second;
+  }
+  if (evicted_ids_.count(id))
+    refuse(kUnknownSession,
+           "session " + std::to_string(id) +
+               " was evicted after idle timeout (" +
+               std::to_string(opts_.idle_timeout_seconds) +
+               "s); open a new one");
+  if (id == 0 || id >= next_session_)
+    refuse(kUnknownSession, "unknown session " + std::to_string(id));
+  refuse(kUnknownSession, "session " + std::to_string(id) + " is closed");
+}
+
+void Engine::apply_changes(incr::DesignState& state,
+                           const std::vector<ChangeSpec>& specs) {
+  try {
+    std::vector<incr::Change> changes;
+    changes.reserve(specs.size());
+    for (const ChangeSpec& spec : specs)
+      changes.push_back(resolve_change(spec, opts_.config));
+    for (const incr::Change& c : changes) incr::apply_change(state, c);
+  } catch (const std::exception& e) {
+    refuse(kInvalidChange, e.what());
+  }
+}
+
+void Engine::open(incr::DesignState state, const std::string* file,
+                  util::JsonWriter& w) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (sessions_.size() >= opts_.max_sessions)
+    refuse(kSaturated, "session limit reached (" +
+                           std::to_string(opts_.max_sessions) +
+                           " open); close a session first");
+  const uint64_t id = next_session_++;
+  w.key("session").value(id);
+  w.key("design").value(state.inputs().name);
+  if (file) w.key("file").value(*file);
+  w.key("delay");
+  flow::delay_json(w, state.delay());
+  sessions_.emplace(id, Session{std::move(state), Clock::now()});
+  bump(kSessionsOpened);
+}
+
+void Engine::handle_load_design(const Request& req, util::JsonWriter& w) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (designs_.count(req.name))
+      refuse(kBadRequest, "design '" + req.name + "' is already loaded");
+  }
+
+  // Build + analyze outside the lock (expensive; the control lane runs one
+  // request at a time, so no two loads race anyway). A file that does not
+  // open or parse, or modules that do not chain, are the client's error.
+  WallTimer timer;
+  flow::Design built = [&] {
+    try {
+      return flow::build_chain_design(req.name, req.files, opts_.config);
+    } catch (const std::exception& e) {
+      refuse(kBadRequest, e.what());
+    }
+  }();
+
+  // Lint before the expensive analysis: a design with error-level static
+  // diagnostics is refused with the full report, instead of the defect
+  // surfacing as a deep exception (an opaque "internal" error) inside
+  // analyze().
+  check::Report lint = built.check();
+  if (lint.worst() == check::Severity::kError) {
+    std::string message =
+        "design '" + req.name + "' failed static checks (" +
+        std::to_string(lint.count(check::Severity::kError)) + " error(s))";
+    throw Refusal{kCheckFailed, std::move(message), std::move(lint)};
   }
 
   // The incremental analysis is bit-identical to a from-scratch one, so
-  // its delay is the answer; no second build is needed.
-  const timing::CanonicalForm delay = design.analyze_incremental();
+  // its delay is the answer; no second build is needed. Its analyzed
+  // state is the warm base every session copies from.
+  const timing::CanonicalForm& delay = built.analyze_incremental();
   const double seconds = timer.seconds();
-
-  auto loaded = std::make_unique<Loaded>(std::move(design));
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  begin_response(w, req.id, /*ok=*/true);
   w.key("design").value(req.name);
-  w.key("instances").value(loaded->design.num_instances());
+  w.key("instances").value(built.num_instances());
   w.key("delay");
   flow::delay_json(w, delay);
   w.key("seconds").value(seconds);
-  w.end_object();
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    designs_.emplace(req.name, std::move(loaded));
-  }
-  n_ok_.fetch_add(1, kRelaxed);
-  return os.str();
-}
-
-std::string Engine::handle_open_session(const Request& req) {
-  std::ostringstream os;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = designs_.find(req.design);
-    if (it == designs_.end()) {
-      n_error_.fetch_add(1, kRelaxed);
-      return error_response(req.id, kUnknownDesign,
-                            "no design named '" + req.design + "' is loaded");
-    }
-    if (sessions_.size() >= opts_.max_sessions) {
-      n_error_.fetch_add(1, kRelaxed);
-      return error_response(
-          req.id, kSaturated,
-          "session limit reached (" + std::to_string(opts_.max_sessions) +
-              " open); close a session first");
-    }
-    const uint64_t id = next_session_++;
-    // Copy the analyzed warm base: the clean prefix (stitched graph,
-    // provenance, design PCA, arrivals) shares by copy — nothing
-    // recomputes until the session's first change.
-    auto session = std::make_shared<Session>(id, req.design,
-                                             it->second->design.incremental());
-    session->last_used = Clock::now();
-    // Answer before publishing: once in the map, the session belongs to
-    // its lane, which may already hold a request for this id.
-    util::JsonWriter w(os);
-    begin_response(w, req.id, /*ok=*/true);
-    w.key("session").value(id);
-    w.key("design").value(session->design);
-    w.key("delay");
-    flow::delay_json(w, session->state.delay());
-    w.end_object();
-    sessions_.emplace(id, std::move(session));
-  }
-  n_opened_.fetch_add(1, kRelaxed);
-  n_ok_.fetch_add(1, kRelaxed);
-  return os.str();
-}
-
-std::shared_ptr<Engine::Session> Engine::find_session(uint64_t id,
-                                                      std::string& error,
-                                                      const char*& code) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = sessions_.find(id);
-  if (it != sessions_.end()) return it->second;
-  code = kUnknownSession;
-  if (evicted_ids_.count(id))
-    error = "session " + std::to_string(id) +
-            " was evicted after idle timeout (" +
-            std::to_string(opts_.idle_timeout_seconds) + "s); open a new one";
-  else if (id == 0 || id >= next_session_)
-    error = "unknown session " + std::to_string(id);
-  else
-    error = "session " + std::to_string(id) + " is closed";
-  return nullptr;
+  designs_.emplace(req.name, std::move(built));
 }
 
-std::string Engine::handle_eco(const Request& req) {
-  std::string error;
-  const char* code = kInternal;
-  const std::shared_ptr<Session> session =
-      find_session(req.session, error, code);
-  if (!session) {
-    n_error_.fetch_add(1, kRelaxed);
-    return error_response(req.id, code, error);
-  }
-  session->last_used = Clock::now();
-  try {
-    // Resolve every change before applying any, so a bad spec (missing
-    // variant file, ...) leaves the session untouched.
-    std::vector<incr::Change> changes;
-    changes.reserve(req.changes.size());
-    for (const ChangeSpec& spec : req.changes)
-      changes.push_back(resolve_change(spec, opts_.config));
-    for (const incr::Change& c : changes)
-      incr::apply_change(session->state, c);
-  } catch (const std::exception& e) {
-    n_error_.fetch_add(1, kRelaxed);
-    return error_response(req.id, kInvalidChange, e.what());
-  }
-  session->ecos += req.changes.size();
-  n_ecos_.fetch_add(1, kRelaxed);
+void Engine::handle_open_session(const Request& req, util::JsonWriter& w) {
+  // Copy the analyzed warm base: the clean prefix (stitched graph,
+  // provenance, design PCA, arrivals) shares by copy — nothing
+  // recomputes until the session's first change.
+  open(design(req.design).incremental(), nullptr, w);
+}
 
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  begin_response(w, req.id, /*ok=*/true);
-  w.key("session").value(session->id);
+void Engine::handle_eco(const Request& req, util::JsonWriter& w) {
+  Session& s = session(req);
+  apply_changes(s.state, req.changes);
+  bump(kEcos);
+  w.key("session").value(req.session);
   w.key("recorded").value(req.changes.size());
-  w.key("pending").value(session->state.pending());
-  w.end_object();
-  n_ok_.fetch_add(1, kRelaxed);
-  return os.str();
+  w.key("pending").value(s.state.pending());
 }
 
-std::string Engine::handle_analyze(const Request& req) {
-  std::string error;
-  const char* code = kInternal;
-  const std::shared_ptr<Session> session =
-      find_session(req.session, error, code);
-  if (!session) {
-    n_error_.fetch_add(1, kRelaxed);
-    return error_response(req.id, code, error);
-  }
-  session->last_used = Clock::now();
+void Engine::handle_analyze(const Request& req, util::JsonWriter& w) {
+  Session& s = session(req);
   WallTimer timer;
+  apply_changes(s.state, req.changes);
   try {
-    std::vector<incr::Change> changes;
-    changes.reserve(req.changes.size());
-    for (const ChangeSpec& spec : req.changes)
-      changes.push_back(resolve_change(spec, opts_.config));
-    for (const incr::Change& c : changes)
-      incr::apply_change(session->state, c);
-    session->state.analyze();
+    s.state.analyze();
   } catch (const std::exception& e) {
     // analyze() leaves derived state untouched on validation failure —
     // the session survives an invalid what-if.
-    n_error_.fetch_add(1, kRelaxed);
-    return error_response(req.id, kInvalidChange, e.what());
+    refuse(kInvalidChange, e.what());
   }
-  session->ecos += req.changes.size();
-  n_analyzes_.fetch_add(1, kRelaxed);
-
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  begin_response(w, req.id, /*ok=*/true);
-  w.key("session").value(session->id);
+  bump(kAnalyzes);
+  w.key("session").value(req.session);
   w.key("delay");
-  flow::delay_json(w, session->state.delay());
+  flow::delay_json(w, s.state.delay());
   w.key("stats");
-  flow::incr_stats_json(w, session->state.stats());
+  flow::incr_stats_json(w, s.state.stats());
   w.key("seconds").value(timer.seconds());
-  w.end_object();
-  n_ok_.fetch_add(1, kRelaxed);
-  return os.str();
 }
 
-std::string Engine::handle_sweep(const Request& req) {
-  std::string error;
-  const char* code = kInternal;
-  const std::shared_ptr<Session> session =
-      find_session(req.session, error, code);
-  if (!session) {
-    n_error_.fetch_add(1, kRelaxed);
-    return error_response(req.id, code, error);
-  }
-  session->last_used = Clock::now();
+void Engine::handle_sweep(const Request& req, util::JsonWriter& w) {
+  Session& s = session(req);
   WallTimer timer;
   std::vector<incr::ScenarioResult> results;
   try {
@@ -450,85 +418,45 @@ std::string Engine::handle_sweep(const Request& req) {
     // The runner needs an analyzed base with nothing pending: flush any
     // recorded-but-unanalyzed ecos first (same state an `analyze` would
     // leave). Scenarios then branch off the session's current state.
-    if (session->state.pending()) session->state.analyze();
-    const incr::ScenarioRunner runner(session->state);
+    if (s.state.pending()) s.state.analyze();
+    const incr::ScenarioRunner runner(s.state);
     results = runner.run(scenarios);
   } catch (const std::exception& e) {
-    n_error_.fetch_add(1, kRelaxed);
-    return error_response(req.id, kInvalidChange, e.what());
+    refuse(kInvalidChange, e.what());
   }
-  n_sweeps_.fetch_add(1, kRelaxed);
-
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  begin_response(w, req.id, /*ok=*/true);
-  w.key("session").value(session->id);
+  bump(kSweeps);
+  w.key("session").value(req.session);
   w.key("seconds").value(timer.seconds());
   w.key("scenarios").begin_array();
   for (const incr::ScenarioResult& r : results) flow::scenario_json(w, r);
   w.end_array();
-  w.end_object();
-  n_ok_.fetch_add(1, kRelaxed);
-  return os.str();
 }
 
-std::string Engine::handle_check(const Request& req) {
-  const Loaded* loaded = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = designs_.find(req.design);
-    if (it == designs_.end()) {
-      n_error_.fetch_add(1, kRelaxed);
-      return error_response(req.id, kUnknownDesign,
-                            "no design named '" + req.design + "' is loaded");
-    }
-    loaded = it->second.get();
-  }
+void Engine::handle_check(const Request& req, util::JsonWriter& w) {
   // Loaded designs are immutable after load and check() is read-only, so
-  // running outside the lock is safe (and keeps slow lints off the map).
-  const check::Report report = loaded->design.check();
-
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  begin_response(w, req.id, /*ok=*/true);
+  // it runs outside mu_ (keeping slow lints off the map).
+  const check::Report report = design(req.design).check();
   w.key("design").value(req.design);
   w.key("report");
   check::write_report(w, report);
-  w.end_object();
-  n_ok_.fetch_add(1, kRelaxed);
-  return os.str();
 }
 
-std::string Engine::handle_stats(const Request& req) {
-  const EngineStats s = stats_snapshot();
-  size_t designs, sessions;
+void Engine::handle_stats(const Request& /*req*/, util::JsonWriter& w) {
+  static_assert(std::size(kCounterNames) == kNumCounters);
+  size_t designs = 0, sessions = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     designs = designs_.size();
     sessions = sessions_.size();
   }
-
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  begin_response(w, req.id, /*ok=*/true);
   w.key("version").value(kVersion);
   w.key("build").value(build_info());
   w.key("uptime_seconds").value(seconds_between(started_, Clock::now()));
   w.key("designs").value(designs);
   w.key("sessions").value(sessions);
   w.key("counters").begin_object();
-  w.key("requests").value(s.requests);
-  w.key("responses_ok").value(s.responses_ok);
-  w.key("responses_error").value(s.responses_error);
-  w.key("rejected_backpressure").value(s.rejected_backpressure);
-  w.key("rejected_shutdown").value(s.rejected_shutdown);
-  w.key("batches").value(s.batches);
-  w.key("sessions_opened").value(s.sessions_opened);
-  w.key("sessions_closed").value(s.sessions_closed);
-  w.key("sessions_evicted").value(s.sessions_evicted);
-  w.key("ecos").value(s.ecos);
-  w.key("analyzes").value(s.analyzes);
-  w.key("sweeps").value(s.sweeps);
+  for (size_t c = 0; c < kNumCounters; ++c)
+    w.key(kCounterNames[c]).value(counters_[c].load(kRelaxed));
   w.end_object();
   w.key("options").begin_object();
   w.key("threads").value(exec::effective_threads(opts_.threads));
@@ -536,42 +464,23 @@ std::string Engine::handle_stats(const Request& req) {
   w.key("idle_timeout_seconds").value(opts_.idle_timeout_seconds);
   w.key("max_sessions").value(opts_.max_sessions);
   w.end_object();
-  w.end_object();
-  n_ok_.fetch_add(1, kRelaxed);
-  return os.str();
 }
 
-std::string Engine::handle_save_session(const Request& req) {
-  std::string error;
-  const char* code = kInternal;
-  const std::shared_ptr<Session> session =
-      find_session(req.session, error, code);
-  if (!session) {
-    n_error_.fetch_add(1, kRelaxed);
-    return error_response(req.id, code, error);
-  }
-  session->last_used = Clock::now();
+void Engine::handle_save_session(const Request& req, util::JsonWriter& w) {
+  Session& s = session(req);
   try {
     // Pending (recorded-but-unanalyzed) changes serialize with the state,
     // so a restore resumes exactly where the session left off.
-    session->state.save_file(req.file);
+    s.state.save_file(req.file);
   } catch (const std::exception& e) {
-    n_error_.fetch_add(1, kRelaxed);
-    return error_response(req.id, kBadRequest, e.what());
+    refuse(kBadRequest, e.what());
   }
-
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  begin_response(w, req.id, /*ok=*/true);
-  w.key("session").value(session->id);
+  w.key("session").value(req.session);
   w.key("file").value(req.file);
-  w.key("pending").value(session->state.pending());
-  w.end_object();
-  n_ok_.fetch_add(1, kRelaxed);
-  return os.str();
+  w.key("pending").value(s.state.pending());
 }
 
-std::string Engine::handle_restore_session(const Request& req) {
+void Engine::handle_restore_session(const Request& req, util::JsonWriter& w) {
   // A control verb (it creates a session rather than addressing one), so
   // it runs on the sequential control lane; the expensive load + analyze
   // happens outside mu_ like load_design's build.
@@ -584,79 +493,30 @@ std::string Engine::handle_restore_session(const Request& req) {
     // by the serialization contract.
     (void)state->analyze();
   } catch (const std::exception& e) {
-    n_error_.fetch_add(1, kRelaxed);
-    return error_response(req.id, kBadRequest, e.what());
+    refuse(kBadRequest, e.what());
   }
-
-  std::ostringstream os;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (sessions_.size() >= opts_.max_sessions) {
-      n_error_.fetch_add(1, kRelaxed);
-      return error_response(
-          req.id, kSaturated,
-          "session limit reached (" + std::to_string(opts_.max_sessions) +
-              " open); close a session first");
-    }
-    const uint64_t id = next_session_++;
-    // Copy the name out first: make_shared's argument evaluation order is
-    // unspecified, so `state->inputs().name` may read a moved-from state.
-    std::string design = state->inputs().name;
-    auto session = std::make_shared<Session>(id, std::move(design),
-                                             std::move(*state));
-    session->last_used = Clock::now();
-    // Answer before publishing, as open_session does.
-    util::JsonWriter w(os);
-    begin_response(w, req.id, /*ok=*/true);
-    w.key("session").value(id);
-    w.key("design").value(session->design);
-    w.key("file").value(req.file);
-    w.key("delay");
-    flow::delay_json(w, session->state.delay());
-    w.end_object();
-    sessions_.emplace(id, std::move(session));
-  }
-  n_opened_.fetch_add(1, kRelaxed);
-  n_ok_.fetch_add(1, kRelaxed);
-  return os.str();
+  open(std::move(*state), &req.file, w);
 }
 
-std::string Engine::handle_close_session(const Request& req) {
+void Engine::handle_close_session(const Request& req, util::JsonWriter& w) {
+  (void)session(req);  // refuses an evicted, unknown or closed id
   {
+    // The session's lane is running this request, so no eviction sweep
+    // can erase it first.
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = sessions_.find(req.session);
-    if (it != sessions_.end()) {
-      sessions_.erase(it);
-      n_closed_.fetch_add(1, kRelaxed);
-      std::ostringstream os;
-      util::JsonWriter w(os);
-      begin_response(w, req.id, /*ok=*/true);
-      w.key("session").value(req.session);
-      w.key("closed").value(true);
-      w.end_object();
-      n_ok_.fetch_add(1, kRelaxed);
-      return os.str();
-    }
+    sessions_.erase(req.session);
   }
-  std::string error;
-  const char* code = kInternal;
-  (void)find_session(req.session, error, code);  // compose the message
-  n_error_.fetch_add(1, kRelaxed);
-  return error_response(req.id, code, error);
+  bump(kSessionsClosed);
+  w.key("session").value(req.session);
+  w.key("closed").value(true);
 }
 
-std::string Engine::handle_shutdown(const Request& req) {
+void Engine::handle_shutdown(const Request& /*req*/, util::JsonWriter& w) {
   // Closing admission rejects new requests ("shutting_down"); everything
   // already accepted — requests running beside this one included — still
   // drains before stopped() turns true.
   request_stop();
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  begin_response(w, req.id, /*ok=*/true);
   w.key("stopping").value(true);
-  w.end_object();
-  n_ok_.fetch_add(1, kRelaxed);
-  return os.str();
 }
 
 }  // namespace hssta::serve

@@ -43,9 +43,19 @@
 /// request_stop) closes admission, the workers finish every request
 /// accepted before the close — in-flight sweeps included — and stopped()
 /// turns true once nothing waits or runs; then each worker exits.
+///
+/// Every admitted request has one answer path: answer() opens the
+/// response object, runs the verb's handler, closes the object and counts
+/// the outcome. A handler writes only its payload members, or throws a
+/// coded refusal that answer() turns into an error response (with the
+/// check report for "check_failed"); any other exception answers
+/// "internal". The response is built in a buffer that a throw discards,
+/// so a handler that fails halfway leaves no partial payload behind.
+/// The `stats` counters are one table, indexed by Engine::Counter.
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -53,7 +63,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -83,23 +92,6 @@ struct EngineOptions {
   /// worker (parallelism comes from running lanes side by side), so
   /// cfg.threads is deliberately ignored here.
   flow::Config config;
-};
-
-/// Monotonic service counters (the `stats` verb's payload).
-struct EngineStats {
-  uint64_t requests = 0;
-  uint64_t responses_ok = 0;
-  uint64_t responses_error = 0;
-  uint64_t rejected_backpressure = 0;
-  uint64_t rejected_shutdown = 0;
-  /// Dispatches: one per request a worker handled.
-  uint64_t batches = 0;
-  uint64_t sessions_opened = 0;
-  uint64_t sessions_closed = 0;
-  uint64_t sessions_evicted = 0;
-  uint64_t ecos = 0;
-  uint64_t analyzes = 0;
-  uint64_t sweeps = 0;
 };
 
 class Engine {
@@ -139,7 +131,6 @@ class Engine {
   void request_stop();
 
   [[nodiscard]] const EngineOptions& options() const { return opts_; }
-  [[nodiscard]] EngineStats stats_snapshot() const;
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -156,26 +147,30 @@ class Engine {
     Done done;
   };
 
+  /// The `stats` verb's counters, in the order it reports them; their
+  /// names are the table kCounterNames in engine.cpp.
+  enum Counter : size_t {
+    kRequests,
+    kResponsesOk,
+    kResponsesError,
+    kRejectedBackpressure,
+    kRejectedShutdown,
+    kBatches,  ///< dispatches: one per request a worker handled
+    kSessionsOpened,
+    kSessionsClosed,
+    kSessionsEvicted,
+    kEcos,
+    kAnalyzes,
+    kSweeps,
+    kNumCounters
+  };
+
   struct Session {
-    uint64_t id = 0;
-    std::string design;
     incr::DesignState state;
     /// Written at creation, then only while the session's lane runs;
     /// eviction reads it only while the lane does not run, so lanes_mu_
     /// orders every write before every read.
     Clock::time_point last_used;
-    uint64_t ecos = 0;
-
-    Session(uint64_t id_, std::string design_, incr::DesignState state_)
-        : id(id_), design(std::move(design_)), state(std::move(state_)) {}
-  };
-
-  /// One loaded design: the assembled flow::Design (keeps models/modules
-  /// alive and caches the from-scratch analysis) plus the analyzed warm
-  /// base sessions copy from. Immutable after load.
-  struct Loaded {
-    flow::Design design;
-    explicit Loaded(flow::Design d) : design(std::move(d)) {}
   };
 
   void work_loop();
@@ -188,25 +183,44 @@ class Engine {
   /// Caller holds lanes_mu_.
   [[nodiscard]] bool drained() const;
 
-  /// Verb handlers; run on a worker, one per lane at a time. Each returns
-  /// the full response line.
-  [[nodiscard]] std::string handle(const Request& req);
-  [[nodiscard]] std::string handle_load_design(const Request& req);
-  [[nodiscard]] std::string handle_open_session(const Request& req);
-  [[nodiscard]] std::string handle_eco(const Request& req);
-  [[nodiscard]] std::string handle_analyze(const Request& req);
-  [[nodiscard]] std::string handle_sweep(const Request& req);
-  [[nodiscard]] std::string handle_check(const Request& req);
-  [[nodiscard]] std::string handle_stats(const Request& req);
-  [[nodiscard]] std::string handle_save_session(const Request& req);
-  [[nodiscard]] std::string handle_restore_session(const Request& req);
-  [[nodiscard]] std::string handle_close_session(const Request& req);
-  [[nodiscard]] std::string handle_shutdown(const Request& req);
+  void bump(Counter c);
 
-  /// Locate a session or fill `error` with the right code/message.
-  [[nodiscard]] std::shared_ptr<Session> find_session(uint64_t id,
-                                                      std::string& error,
-                                                      const char*& code);
+  /// The response line of an admitted request: the one place that frames
+  /// a handler's payload and counts its outcome. Runs on a worker, one
+  /// request per lane at a time.
+  [[nodiscard]] std::string answer(const Request& req);
+
+  /// Verb handlers: each writes its payload members into the response
+  /// object answer() opened, or throws a refusal.
+  void handle(const Request& req, util::JsonWriter& w);
+  void handle_load_design(const Request& req, util::JsonWriter& w);
+  void handle_open_session(const Request& req, util::JsonWriter& w);
+  void handle_eco(const Request& req, util::JsonWriter& w);
+  void handle_analyze(const Request& req, util::JsonWriter& w);
+  void handle_sweep(const Request& req, util::JsonWriter& w);
+  void handle_check(const Request& req, util::JsonWriter& w);
+  void handle_stats(const Request& req, util::JsonWriter& w);
+  void handle_save_session(const Request& req, util::JsonWriter& w);
+  void handle_restore_session(const Request& req, util::JsonWriter& w);
+  void handle_close_session(const Request& req, util::JsonWriter& w);
+  void handle_shutdown(const Request& req, util::JsonWriter& w);
+
+  /// The loaded design `name`, or refuse "unknown_design".
+  [[nodiscard]] const flow::Design& design(const std::string& name);
+  /// req.session's session, marked used, or refuse "unknown_session"
+  /// naming why: evicted, never opened, or closed.
+  [[nodiscard]] Session& session(const Request& req);
+  /// Resolve every change, then apply them all to `state`, or refuse
+  /// "invalid_change". A spec that fails to resolve (a missing variant
+  /// file, ...) leaves `state` untouched.
+  void apply_changes(incr::DesignState& state,
+                     const std::vector<ChangeSpec>& specs);
+  /// Publish `state` as a new session, or refuse "saturated". Writes the
+  /// session id, its design, `file` when given and its delay first: once
+  /// in the map, the session belongs to its lane, which may already hold
+  /// a request for the new id.
+  void open(incr::DesignState state, const std::string* file,
+            util::JsonWriter& w);
 
   EngineOptions opts_;
 
@@ -221,20 +235,16 @@ class Engine {
   bool closed_ = false;
 
   /// Loaded designs + sessions. The map structure is guarded by mu_;
-  /// Session objects themselves are only touched from their own lane once
-  /// published, Loaded objects only from the control lane.
+  /// a published Session is only touched from its own lane, a loaded
+  /// design only from the control lane (map nodes never move).
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Loaded>> designs_;
-  std::map<uint64_t, std::shared_ptr<Session>> sessions_;
+  std::map<std::string, flow::Design> designs_;
+  std::map<uint64_t, Session> sessions_;
   std::set<uint64_t> evicted_ids_;
   uint64_t next_session_ = 1;
 
-  /// Monotonic counters (atomics: bumped from worker threads).
-  std::atomic<uint64_t> n_requests_{0}, n_ok_{0}, n_error_{0};
-  std::atomic<uint64_t> n_backpressure_{0}, n_rejected_shutdown_{0};
-  std::atomic<uint64_t> n_batches_{0};
-  std::atomic<uint64_t> n_opened_{0}, n_closed_{0}, n_evicted_{0};
-  std::atomic<uint64_t> n_ecos_{0}, n_analyzes_{0}, n_sweeps_{0};
+  /// Atomics: bumped from worker threads and submitters.
+  std::array<std::atomic<uint64_t>, kNumCounters> counters_{};
   Clock::time_point started_ = Clock::now();
 
   /// Last: the workers use every member above.

@@ -347,6 +347,70 @@ TEST_F(ServeTest, StatsReportsVersionCountersAndKnobs) {
   EXPECT_EQ(options.at("queue_capacity").as_count("cap"), 17u);
 }
 
+TEST_F(ServeTest, CountersAccountForEveryResponse) {
+  serve::EngineOptions opts;
+  opts.max_sessions = 1;
+  serve::Engine engine(opts);
+  fail(engine, "not json", serve::kBadRequest);  // never dispatched
+  ok(engine, load_line());
+  fail(engine, load_line(), serve::kBadRequest);  // already loaded
+  fail(engine, R"({"verb":"open_session","design":"ghost"})",
+       serve::kUnknownDesign);
+  ok(engine, R"({"verb":"open_session","design":"d"})");
+  fail(engine, R"({"verb":"open_session","design":"d"})", serve::kSaturated);
+  ok(engine, R"({"verb":"eco","session":1,"changes":[)"
+             R"({"op":"sigma","param":0,"scale":1.1}]})");
+  ok(engine, R"({"verb":"analyze","session":1})");
+  fail(engine,
+       R"({"verb":"analyze","session":1,"changes":[)"
+       R"({"op":"rewire","conn":99,"from_inst":0,"from_port":0,)"
+       R"("to_inst":1,"to_port":0}]})",
+       serve::kInvalidChange);
+  ok(engine, R"({"verb":"sweep","session":1,"scenarios":[)"
+             R"({"changes":[{"op":"sigma","param":0,"scale":0.9}]}]})");
+  ok(engine, R"({"verb":"close_session","session":1})");
+  fail(engine, R"({"verb":"close_session","session":1})",
+       serve::kUnknownSession);
+  const JsonValue stats = ok(engine, R"({"verb":"stats"})");
+
+  const JsonValue& counters = stats.at("counters");
+  const std::vector<std::string> names = {
+      "requests",
+      "responses_ok",
+      "responses_error",
+      "rejected_backpressure",
+      "rejected_shutdown",
+      "batches",
+      "sessions_opened",
+      "sessions_closed",
+      "sessions_evicted",
+      "ecos",
+      "analyzes",
+      "sweeps",
+  };
+  ASSERT_EQ(counters.members().size(), names.size());
+  for (size_t i = 0; i < names.size(); ++i)
+    EXPECT_EQ(counters.members()[i].first, names[i]);
+  const auto count = [&](const std::string& name) {
+    return counters.at(name).as_count(name);
+  };
+  // Every request is answered once, ok or error; stats is counted as a
+  // request and a dispatch but not yet as a response, and the unparsable
+  // line is answered by submit() without a dispatch.
+  EXPECT_EQ(count("requests"), 13u);
+  EXPECT_EQ(count("responses_ok"), 6u);
+  EXPECT_EQ(count("responses_error"), 6u);
+  EXPECT_EQ(count("batches"), 12u);
+  EXPECT_EQ(count("rejected_backpressure"), 0u);
+  EXPECT_EQ(count("rejected_shutdown"), 0u);
+  EXPECT_EQ(count("sessions_opened"), 1u);
+  EXPECT_EQ(count("sessions_closed"), 1u);
+  EXPECT_EQ(count("sessions_evicted"), 0u);
+  EXPECT_EQ(count("ecos"), 1u);
+  EXPECT_EQ(count("analyzes"), 1u);
+  EXPECT_EQ(count("sweeps"), 1u);
+}
+
 // --- error paths ------------------------------------------------------------
 
 TEST_F(ServeTest, RejectsGarbageUnknownDesignAndUnknownSession) {
@@ -358,6 +422,22 @@ TEST_F(ServeTest, RejectsGarbageUnknownDesignAndUnknownSession) {
   fail(engine, R"({"verb":"analyze","session":42})", serve::kUnknownSession);
   ok(engine, load_line());
   fail(engine, load_line(), serve::kBadRequest);  // duplicate load
+}
+
+TEST_F(ServeTest, UnbuildableDesignIsABadRequest) {
+  // A file the client names that does not open is the client's error, not
+  // a server fault ("internal"); the name stays free for a good load.
+  serve::Engine engine;
+  const JsonValue doc = fail(
+      engine,
+      R"({"id":1,"verb":"load_design","name":"d","files":[)"
+      R"("/nonexistent/a.bench",")" +
+          file("b.bench") + R"("]})",
+      serve::kBadRequest);
+  EXPECT_EQ(doc.at("id").as_count("id"), 1u);
+  EXPECT_NE(doc.at("error").as_string().find("/nonexistent/a.bench"),
+            std::string::npos);
+  ok(engine, load_line());
 }
 
 TEST_F(ServeTest, InvalidChangeLeavesSessionUsable) {

@@ -528,8 +528,10 @@ int cmd_sweep(int argc, const char* const* argv) {
     std::printf("%s\n", flow::sweep_report_json(design, results).c_str());
     return 0;
   }
+  // The incremental base is bit-identical to design.delay(), which would
+  // run a second, from-scratch analysis of the same design.
   std::printf("\nbase design delay: mean %.4f ns, sigma %.4f ns\n",
-              design.delay().nominal(), design.delay().sigma());
+              st.delay().nominal(), st.delay().sigma());
   std::printf("%zu scenario%s in %.3f s on %zu thread%s:\n",
               results.size(), results.size() == 1 ? "" : "s", seconds,
               exec::effective_threads(cfg.threads),
