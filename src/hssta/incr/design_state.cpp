@@ -126,10 +126,9 @@ void DesignState::move_instance(size_t inst, double x, double y) {
   placement::Point& origin = inputs_.instances[inst].origin;
   if (origin.x == x && origin.y == y) return;
   origin = placement::Point{x, y};
-  if (opts_.mode == hier::CorrelationMode::kReplacement)
-    space_dirty_ = true;  // grid centers moved: the design PCA changes
-  else
-    revalidate_ = true;  // private spatial blocks ignore the origin
+  // The design grid, its PCA and so the coefficient layout follow the
+  // placement: a move is a full stitch.
+  full_rebuild_ = true;
 }
 
 void DesignState::rewire_connection(size_t conn, hier::PortRef from_output,
@@ -159,7 +158,7 @@ void DesignState::set_parameter_sigma(size_t param, double scale) {
 }
 
 bool DesignState::pending() const {
-  return full_rebuild_ || space_dirty_ || coeffs_dirty_ || revalidate_ ||
+  return full_rebuild_ || coeffs_dirty_ ||
          std::find(inst_dirty_.begin(), inst_dirty_.end(), 1) !=
              inst_dirty_.end() ||
          std::find(conn_dirty_.begin(), conn_dirty_.end(), 1) !=
@@ -168,9 +167,7 @@ bool DesignState::pending() const {
 
 void DesignState::clear_pending() {
   full_rebuild_ = false;
-  space_dirty_ = false;
   coeffs_dirty_ = false;
-  revalidate_ = false;
   inst_dirty_.assign(inputs_.instances.size(), 0);
   conn_dirty_.assign(inputs_.connections.size(), 0);
   rewire_old_targets_.clear();
@@ -197,42 +194,22 @@ void DesignState::full_build(const hier::HierDesign& view) {
   ++stats_.full_builds;
 }
 
-void DesignState::refresh_design_space(const hier::HierDesign& view) {
-  hier::DesignGrid grid = hier::build_design_grid(view);
-  std::shared_ptr<const variation::VariationSpace> space =
-      hier::build_design_space(view, grid, opts_.pca);
-  if (space->dim() != st_->total_dim) {
-    // The PCA truncation shifted with the new geometry: every canonical
-    // form changes width, so the graph must be rebuilt from scratch.
-    full_rebuild_ = true;
-    return;
-  }
-  st_->grid = std::move(grid);
-  st_->design_space = std::move(space);
-  st_->graph.reset_space(st_->design_space);
-}
-
 void DesignState::refresh_coefficients() {
   TimingGraph& g = st_->graph;
   const bool replacement = opts_.mode == hier::CorrelationMode::kReplacement;
   recompute_sigma_multipliers();
 
   for (size_t t = 0; t < inputs_.instances.size(); ++t) {
-    hier::InstanceStitch& st = st_->instances[t];
+    const hier::InstanceStitch& st = st_->instances[t];
     const model::TimingModel& m = *inputs_.instances[t].model;
     const variation::VariationSpace& mspace = *m.variation().space;
     const hier::InstanceRemapper remap =
         replacement
-            ? (space_dirty_
-                   ? hier::InstanceRemapper::replacement(
-                         mspace, *st_->design_space,
-                         st_->grid.instance_grids[t])
-                   : hier::InstanceRemapper::replacement_with(
-                         mspace, *st_->design_space, st.r))
+            ? hier::InstanceRemapper::replacement_with(
+                  mspace, *st_->design_space, st.r)
             : hier::InstanceRemapper::global_only(mspace, st_->total_dim,
                                                   num_params(),
                                                   st.private_slot);
-    if (replacement && space_dirty_) st.r = remap.r();
     const TimingGraph& mg = m.graph();
     for (EdgeId e = 0; e < mg.num_edge_slots(); ++e) {
       if (!mg.edge_alive(e)) continue;
@@ -409,10 +386,6 @@ const CanonicalForm& DesignState::analyze() {
   view.validate();
 
   try {
-    if (!full_rebuild_ && space_dirty_) {
-      refresh_design_space(view);  // may demand a full rebuild (dim change)
-      if (!full_rebuild_) coeffs_dirty_ = true;
-    }
     if (full_rebuild_) {
       full_build(view);
       propagate_full();
@@ -427,12 +400,6 @@ const CanonicalForm& DesignState::analyze() {
         propagate_full();
       } else if (!seeds.empty()) {
         propagate_cone(seeds);
-      }
-      if (revalidate_) {
-        // A global-only move: the analysis is origin-independent, but keep
-        // the introspection grid in sync with the new placement (whatever
-        // else this flush carried).
-        st_->grid = hier::build_design_grid(view);
       }
     }
     delay_ = timing::circuit_delay(st_->graph, arrivals_, nullptr);

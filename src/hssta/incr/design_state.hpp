@@ -21,16 +21,14 @@
 ///    downstream of its old and new targets;
 ///  * set_parameter_sigma refreshes edge coefficients in place (reusing
 ///    the cached R of every instance) and re-propagates, skipping grid and
-///    PCA construction;
-///  * move_instance in replacement mode rebuilds grid + design space (the
-///    PCA genuinely changes) but reuses the graph structure, refreshing
-///    coefficients in place when the space dimension is unchanged; in the
-///    global-only baseline a move does not affect the analysis at all.
+///    PCA construction.
 ///
-/// Changes that invalidate the coefficient layout (geometry-incompatible
-/// swaps, a design-PCA dimension change) fall back to a full from-scratch
-/// stitch — still through analyze(), still correct, just not incremental
-/// (counted in stats().full_builds).
+/// move_instance and geometry-incompatible swaps invalidate the
+/// coefficient layout — a move because the design grid and its PCA follow
+/// the placement (the PCA dimension nearly always shifts). In both
+/// correlation modes such a flush runs the full stitch of a from-scratch
+/// analysis (hier::stitch_design) — still through analyze(), just not
+/// incremental (counted in stats().full_builds).
 ///
 /// Contract: after any sequence of changes, analyze() returns results
 /// bit-identical to a from-scratch flow::Design / analyze_hierarchical run
@@ -87,7 +85,7 @@ struct DesignInputs {
 struct IncrementalStats {
   uint64_t analyses = 0;        ///< analyze() calls that found pending work
   uint64_t full_builds = 0;     ///< from-scratch stitches (incl. the first)
-  uint64_t coefficient_refreshes = 0;  ///< in-place all-edge refreshes
+  uint64_t coefficient_refreshes = 0;  ///< sigma refreshes
   uint64_t instances_restitched = 0;
   uint64_t connections_restitched = 0;
   uint64_t vertices_recomputed = 0;  ///< arrival folds in the last analyze
@@ -165,7 +163,8 @@ class DesignState {
   void full_build(const hier::HierDesign& view);
   /// Refresh sigma_mult_ from the current options and stitched layout.
   void recompute_sigma_multipliers();
-  void refresh_design_space(const hier::HierDesign& view);
+  /// Rewrite every instance edge with its cached R and the current sigma
+  /// multipliers (a set_parameter_sigma flush).
   void refresh_coefficients();
   void restitch_instance(const hier::HierDesign& view, size_t t,
                          std::vector<timing::VertexId>& seeds);
@@ -187,9 +186,7 @@ class DesignState {
 
   /// --- pending dirty state ------------------------------------------------
   bool full_rebuild_ = true;     ///< layout invalidated (or first build)
-  bool space_dirty_ = false;     ///< geometry changed: rebuild grid + PCA
   bool coeffs_dirty_ = false;    ///< refresh every edge delay in place
-  bool revalidate_ = false;      ///< structure moved but analysis unchanged
   std::vector<uint8_t> inst_dirty_;  ///< per instance: restitch subgraph
   std::vector<uint8_t> conn_dirty_;  ///< per connection: restitch edge
   /// Per pending rewire: the *stitched* (pre-rewire) target port, recorded

@@ -73,15 +73,6 @@ TimingGraph& TimingGraph::operator=(TimingGraph&& other) noexcept {
   return *this;
 }
 
-void TimingGraph::reset_space(
-    std::shared_ptr<const variation::VariationSpace> space) {
-  HSSTA_REQUIRE(space != nullptr, "reset_space: null variation space");
-  HSSTA_REQUIRE(space->dim() == dim_,
-                "reset_space: the new space changes the coefficient "
-                "dimension");
-  space_ = std::move(space);
-}
-
 void TimingGraph::invalidate_order() {
   const std::lock_guard<std::mutex> lock(order_mu_);
   order_.reset();

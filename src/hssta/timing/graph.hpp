@@ -80,13 +80,6 @@ class TimingGraph {
     return space_;
   }
 
-  /// Swap the variation-space annotation for another space of the *same*
-  /// dimension (checked). Used by the incremental design engine when a
-  /// geometry change rebuilds the design space but the coefficient layout
-  /// — and therefore every stored CanonicalForm — keeps its width; the
-  /// caller is responsible for refreshing the coefficients themselves.
-  void reset_space(std::shared_ptr<const variation::VariationSpace> space);
-
   [[nodiscard]] size_t num_vertex_slots() const { return vertices_.size(); }
   [[nodiscard]] size_t num_edge_slots() const { return edges_.size(); }
   [[nodiscard]] size_t num_live_vertices() const { return live_vertices_; }
@@ -119,9 +112,9 @@ class TimingGraph {
   /// copies of the graph share the cache, and add_vertex, add_edge,
   /// remove_edge and remove_vertex drop it. Like a container's iterators,
   /// the reference stays valid until the next such mutation; edge delay
-  /// writes and reset_space keep it. Thread-safe against concurrent const
-  /// readers (one of them builds, all see the same vector); like every
-  /// other accessor it must not race with mutation.
+  /// writes keep it. Thread-safe against concurrent const readers (one of
+  /// them builds, all see the same vector); like every other accessor it
+  /// must not race with mutation.
   [[nodiscard]] const std::vector<VertexId>& topo_order() const;
 
   /// vertex-indexed flags: reachable from `v` along live edges (v included).

@@ -345,8 +345,9 @@ TEST_F(SpecTest, OversizedGridsFailWithTheNamedErrorBeforeExpanding) {
       c.op = serve::ChangeSpec::Op::kSigma;
       c.param = a;
       c.scale = 1.0 + 1e-6 * static_cast<double>(v);
-      spec.axes[a].values.push_back(
-          {"p" + std::to_string(a) + "v" + std::to_string(v), c});
+      const std::string axis = std::to_string(a);
+      const std::string value = std::to_string(v);
+      spec.axes[a].values.push_back({"p" + axis + "v" + value, c});
     }
   try {
     (void)campaign::expand(spec);

@@ -114,7 +114,9 @@ TEST(CheckCatalog, IdsAreSortedUniqueAndResolvable) {
     EXPECT_TRUE(r.family == "structural" || r.family == "numeric" ||
                 r.family == "hierarchy" || r.family == "sequential")
         << r.id;
-    if (i > 0) EXPECT_LT(catalog[i - 1].id, r.id);
+    if (i > 0) {
+      EXPECT_LT(catalog[i - 1].id, r.id);
+    }
   }
   EXPECT_EQ(check::find_rule("HSC999"), nullptr);
   EXPECT_EQ(check::find_rule(""), nullptr);

@@ -47,7 +47,9 @@ void expect_same_delays(const core::DelayMatrix& a,
   for (size_t i = 0; i < a.num_inputs(); ++i)
     for (size_t j = 0; j < a.num_outputs(); ++j) {
       ASSERT_EQ(a.is_valid(i, j), b.is_valid(i, j));
-      if (a.is_valid(i, j)) EXPECT_TRUE(a.at(i, j) == b.at(i, j));
+      if (a.is_valid(i, j)) {
+        EXPECT_TRUE(a.at(i, j) == b.at(i, j));
+      }
     }
 }
 
@@ -325,7 +327,9 @@ TEST_F(ParallelDeterminism, IoDelayMatrixBitExact) {
   for (size_t i = 0; i < a.num_inputs(); ++i)
     for (size_t j = 0; j < a.num_outputs(); ++j) {
       ASSERT_EQ(a.is_valid(i, j), b.is_valid(i, j));
-      if (a.is_valid(i, j)) EXPECT_TRUE(a.at(i, j) == b.at(i, j));
+      if (a.is_valid(i, j)) {
+        EXPECT_TRUE(a.at(i, j) == b.at(i, j));
+      }
     }
   EXPECT_EQ(serial_diag.ops, pool_diag.ops);
   EXPECT_EQ(serial_diag.variance_clamped, pool_diag.variance_clamped);
@@ -343,8 +347,9 @@ TEST_F(ParallelDeterminism, CriticalityBitExact) {
   for (size_t i = 0; i < a.io_delays.num_inputs(); ++i)
     for (size_t j = 0; j < a.io_delays.num_outputs(); ++j) {
       ASSERT_EQ(a.io_delays.is_valid(i, j), b.io_delays.is_valid(i, j));
-      if (a.io_delays.is_valid(i, j))
+      if (a.io_delays.is_valid(i, j)) {
         EXPECT_TRUE(a.io_delays.at(i, j) == b.io_delays.at(i, j));
+      }
     }
 }
 
@@ -364,7 +369,9 @@ TEST_F(ParallelDeterminism, ExtractionBitExact) {
   for (size_t i = 0; i < da.num_inputs(); ++i)
     for (size_t j = 0; j < da.num_outputs(); ++j) {
       ASSERT_EQ(da.is_valid(i, j), db.is_valid(i, j));
-      if (da.is_valid(i, j)) EXPECT_TRUE(da.at(i, j) == db.at(i, j));
+      if (da.is_valid(i, j)) {
+        EXPECT_TRUE(da.at(i, j) == db.at(i, j));
+      }
     }
 }
 

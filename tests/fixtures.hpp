@@ -26,7 +26,7 @@ struct ModuleUnderTest {
 
   explicit ModuleUnderTest(const netlist::RandomDagSpec& spec,
                            double delta = 0.05)
-      : module(flow::Module::from_random_dag(spec)),
+      : module(flow::Module::from_random_dag(spec, flow::Config())),
         netlist(module.netlist()),
         placement(module.placement()),
         variation(module.variation()),

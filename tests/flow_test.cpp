@@ -35,10 +35,14 @@ Design make_chain_design(const Module& m) {
   const size_t ni = d.num_inputs(a);
   const size_t no = d.num_outputs(a);
   for (size_t k = 0; k < ni; ++k) d.connect(a, k % no, b, k);
-  for (size_t k = 0; k < ni; ++k)
-    d.primary_input("p" + std::to_string(k), a, k);
-  for (size_t k = 0; k < no; ++k)
-    d.primary_output("q" + std::to_string(k), b, k);
+  for (size_t k = 0; k < ni; ++k) {
+    const std::string index = std::to_string(k);
+    d.primary_input("p" + index, a, k);
+  }
+  for (size_t k = 0; k < no; ++k) {
+    const std::string index = std::to_string(k);
+    d.primary_output("q" + index, b, k);
+  }
   return d;
 }
 
@@ -196,10 +200,14 @@ TEST(FlowDesign, SaveLoadAnalyzeEquality) {
   const size_t ni = loaded.num_inputs(a);
   const size_t no = loaded.num_outputs(a);
   for (size_t k = 0; k < ni; ++k) loaded.connect(a, k % no, b, k);
-  for (size_t k = 0; k < ni; ++k)
-    loaded.primary_input("p" + std::to_string(k), a, k);
-  for (size_t k = 0; k < no; ++k)
-    loaded.primary_output("q" + std::to_string(k), b, k);
+  for (size_t k = 0; k < ni; ++k) {
+    const std::string index = std::to_string(k);
+    loaded.primary_input("p" + index, a, k);
+  }
+  for (size_t k = 0; k < no; ++k) {
+    const std::string index = std::to_string(k);
+    loaded.primary_output("q" + index, b, k);
+  }
 
   EXPECT_EQ(loaded.analyze().delay().nominal(),
             live.analyze().delay().nominal());

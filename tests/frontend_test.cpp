@@ -137,8 +137,9 @@ TEST(FrontendBlif, LatchInitAndControlForms) {
   ASSERT_EQ(nl.num_registers(), 7u);
   const int want_init[] = {0, 1, 2, 3, 3, 0, 1};
   for (size_t i = 0; i < 7; ++i) {
+    const std::string index = std::to_string(i);
     EXPECT_EQ(nl.reg(i).init, want_init[i]) << "register " << i;
-    EXPECT_EQ(nl.net_name(nl.reg(i).data_out), "q" + std::to_string(i));
+    EXPECT_EQ(nl.net_name(nl.reg(i).data_out), "q" + index);
   }
   // q0..q3 are clocked by clk; q4 (bare), q5 (init only) and q6 (NIL
   // control) are unclocked.

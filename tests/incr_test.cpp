@@ -219,12 +219,21 @@ TEST_F(IncrementalDifferential, MatchesFromScratchAcrossChangesAndThreads) {
       st.analyze();
       expect_matches(st, ref_base, "swap revert");
 
+      // A move is one full stitch in both modes: the design grid and its
+      // PCA follow the placement; no in-place coefficient refresh.
+      const uint64_t refreshes = st.stats().coefficient_refreshes;
+      uint64_t builds = st.stats().full_builds;
       st.move_instance(ch.move_inst, ch.move_x, ch.move_y);
       st.analyze();
+      EXPECT_EQ(st.stats().full_builds, builds + 1) << "move";
+      EXPECT_EQ(st.stats().coefficient_refreshes, refreshes) << "move";
       expect_matches(st, ref_move, "move");
+      builds = st.stats().full_builds;
       st.move_instance(ch.move_inst, spec.instances[ch.move_inst].x,
                        spec.instances[ch.move_inst].y);
       st.analyze();
+      EXPECT_EQ(st.stats().full_builds, builds + 1) << "move revert";
+      EXPECT_EQ(st.stats().coefficient_refreshes, refreshes) << "move revert";
       expect_matches(st, ref_base, "move revert");
 
       if (ch.has_rewire) {

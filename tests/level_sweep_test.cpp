@@ -54,7 +54,9 @@ void expect_same_matrix(const DelayMatrix& a, const DelayMatrix& b) {
   for (size_t i = 0; i < a.num_inputs(); ++i) {
     for (size_t j = 0; j < a.num_outputs(); ++j) {
       ASSERT_EQ(a.is_valid(i, j), b.is_valid(i, j)) << i << "," << j;
-      if (a.is_valid(i, j)) EXPECT_EQ(a.at(i, j), b.at(i, j)) << i << "," << j;
+      if (a.is_valid(i, j)) {
+        EXPECT_EQ(a.at(i, j), b.at(i, j)) << i << "," << j;
+      }
     }
   }
 }
@@ -114,10 +116,12 @@ void expect_same_vs_legacy(const timing::LegacyPropagation& ref,
                            const PropagationResult& flat) {
   EXPECT_EQ(ref.valid, flat.valid);
   ASSERT_EQ(ref.time.size(), flat.time.rows());
-  for (size_t v = 0; v < ref.time.size(); ++v)
-    if (ref.valid[v])
+  for (size_t v = 0; v < ref.time.size(); ++v) {
+    if (ref.valid[v]) {
       EXPECT_TRUE(timing::form_equal(ref.time[v].view(), flat.time.row(v)))
           << "vertex " << v;
+    }
+  }
   expect_same_diag(ref.diagnostics, flat.diagnostics);
 }
 
@@ -193,7 +197,8 @@ TEST(LevelSweepDifferential, FlatBankMatchesLegacyPerVertexEngine) {
 TEST(LevelSweepDifferential, LargeGeneratedDesignSmoke) {
   {
     SCOPED_TRACE("c7552");
-    expect_sweeps_match_legacy(flow::Module::from_iscas("c7552").graph());
+    expect_sweeps_match_legacy(
+        flow::Module::from_iscas("c7552", flow::Config()).graph());
   }
 
   size_t gates = 20000;

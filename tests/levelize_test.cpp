@@ -5,7 +5,7 @@
 // recomputed from scratch, cycles throw and cache nothing, and the cache is
 // stable across calls, shared by copies (and by concurrent first callers),
 // replaced by each of the four structural mutations and kept by edge-delay
-// writes and reset_space.
+// writes.
 
 #include <gtest/gtest.h>
 
@@ -194,11 +194,8 @@ TEST(Levelize, CacheInvalidatesButSnapshotsSurvive) {
   const EdgeId ab = g.add_edge(a, b, unit_delay(g.dim()));
   const std::vector<VertexId>* cached = &g.topo_order();
 
-  // Delay writes and a same-dimension space swap leave the structure, and
-  // so the cached order, alone.
+  // Delay writes leave the structure, and so the cached order, alone.
   g.edge(ab).delay.set_nominal(2.0);
-  EXPECT_EQ(&g.topo_order(), cached);
-  g.reset_space(one_grid_space());
   EXPECT_EQ(&g.topo_order(), cached);
 
   // Each structural mutation replaces the order. A copy taken just before

@@ -246,13 +246,14 @@ TEST(Extraction, RepairRestoresPrunedConnectivity) {
   variation::ModuleVariation mv{
       variation::GridPartition(placement::Die{10, 10}, 1, 1), space};
 
-  timing::BuiltGraph built{TimingGraph(space), {}, {}, {}};
+  timing::BuiltGraph built{TimingGraph(space), {}, {}, {}, {}, {}};
   TimingGraph& g = built.graph;
   const VertexId a = g.add_vertex("a", true);
   const VertexId z = g.add_vertex("z", false, true);
   const size_t dim = space->dim();
   for (int b = 0; b < 8; ++b) {
-    const VertexId m = g.add_vertex("m" + std::to_string(b));
+    const std::string branch = std::to_string(b);
+    const VertexId m = g.add_vertex("m" + branch);
     CanonicalForm d1(dim), d2(dim);
     d1.set_nominal(1.0);
     d1.set_random(0.05);

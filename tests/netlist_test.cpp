@@ -99,8 +99,9 @@ TEST(Netlist, DepthOfChain) {
   Netlist nl("chain");
   NetId prev = nl.add_primary_input("a");
   for (int i = 0; i < 5; ++i) {
-    const NetId next = nl.add_net("n" + std::to_string(i));
-    nl.add_gate("g" + std::to_string(i), &lib().get("INV"), {prev}, next);
+    const std::string index = std::to_string(i);
+    const NetId next = nl.add_net("n" + index);
+    nl.add_gate("g" + index, &lib().get("INV"), {prev}, next);
     prev = next;
   }
   nl.mark_primary_output(prev);

@@ -72,8 +72,9 @@ TEST(Paths, KLimitsAndOrdering) {
   }
   double sum = 0.0;
   for (size_t i = 0; i < top10.size(); ++i) {
-    if (i > 0) EXPECT_LE(top10[i].criticality,
-                         top10[i - 1].criticality + 1e-12);
+    if (i > 0) {
+      EXPECT_LE(top10[i].criticality, top10[i - 1].criticality + 1e-12);
+    }
     sum += top10[i].criticality;
     // A path's delay form equals the sum of its edge delays.
     CanonicalForm check(m.built.graph.dim());

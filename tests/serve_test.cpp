@@ -959,6 +959,16 @@ TEST_F(ServeTest, ConnectionCyclesLeakNoFdsOrThreads) {
 
   for (int k = 0; k < 500; ++k) serve::Client client(socket_path);
 
+  // The daemon still serves. The acceptor takes queued connections in
+  // order, so once this answer arrives every earlier connection has been
+  // accepted: from here the fd and task counts can only fall.
+  {
+    serve::Client client(socket_path);
+    EXPECT_TRUE(JsonReader::parse(client.request(R"({"verb":"stats"})"))
+                    .at("ok")
+                    .as_bool());
+  }
+
   // Readers see each EOF asynchronously: wait for the last ones to close
   // their fds and exit.
   const auto deadline =
@@ -969,12 +979,6 @@ TEST_F(ServeTest, ConnectionCyclesLeakNoFdsOrThreads) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_EQ(proc_entries("/proc/self/fd"), fds);
   EXPECT_EQ(proc_entries("/proc/self/task"), tasks);
-
-  // The daemon still serves.
-  serve::Client client(socket_path);
-  EXPECT_TRUE(JsonReader::parse(client.request(R"({"verb":"stats"})"))
-                  .at("ok")
-                  .as_bool());
   engine.request_stop();
   engine.wait_until_stopped();
   server.stop();

@@ -84,9 +84,10 @@ inline timing::TimingGraph make_synthetic_graph(const SyntheticGraphSpec& spec,
     // +-25% jitter around the requested width, at least one vertex.
     const size_t layer_width = 1 + rng.uniform_index(std::max<size_t>(
                                        1, spec.width + spec.width / 4));
+    const std::string layer = std::to_string(d);
     for (size_t k = 0; k < layer_width; ++k) {
-      const timing::VertexId v = g.add_vertex(
-          "g" + std::to_string(d) + "_" + std::to_string(k));
+      const std::string index = std::to_string(k);
+      const timing::VertexId v = g.add_vertex("g" + layer + "_" + index);
       const size_t fanin = 1 + rng.uniform_index(spec.max_fanin);
       for (size_t f = 0; f < fanin; ++f) {
         // Bias 3:1 toward the previous layer so depth is structural, with

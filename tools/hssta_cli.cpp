@@ -408,7 +408,11 @@ int cmd_eco(int argc, const char* const* argv) {
       incr::scenario_fingerprint(incr::state_fingerprint(st), changes);
 
   // From-scratch analysis of the changed design (timed: stitch +
-  // propagate; model extraction is shared and excluded on both sides).
+  // propagate; model extraction is shared and excluded on both sides). The
+  // changed chain reuses the base's models; a swapped instance keeps its
+  // variant.
+  for (size_t i = 0; i < st.inputs().instances.size(); ++i)
+    overrides.models.try_emplace(i, st.inputs().instances[i].model);
   const flow::Design changed =
       build_chain(files, full_cfg, /*verbose=*/false, overrides);
   const hier::HierResult& full = changed.analyze();
