@@ -19,7 +19,7 @@ int main() {
   // instead).
   // The default flow::Config already uses the paper's threshold
   // delta = 0.05.
-  const flow::Module m = flow::Module::from_iscas("c432");
+  const flow::Module m = flow::Module::from_iscas("c432", flow::Config());
   const model::Extraction& ex = m.extract_model();
   const model::ExtractionStats& st = ex.stats;
   std::printf(

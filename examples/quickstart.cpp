@@ -24,7 +24,7 @@ int main() {
   //    default flow::Config. (Any netlist works — see
   //    flow::Module::from_file for .bench or BLIF input.)
   const flow::Module m = flow::Module::from_netlist(
-      netlist::make_ripple_adder(8, *flow::default_library()));
+      netlist::make_ripple_adder(8, *flow::default_library()), flow::Config());
   std::printf("circuit: %s — %zu gates, %zu nets, depth %zu\n",
               m.name().c_str(), m.netlist().num_gates(),
               m.netlist().num_nets(), m.netlist().depth());

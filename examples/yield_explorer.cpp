@@ -13,7 +13,7 @@
 
 int main() {
   using namespace hssta;
-  const flow::Module m = flow::Module::from_iscas("c1908");
+  const flow::Module m = flow::Module::from_iscas("c1908", flow::Config());
 
   const timing::CanonicalForm& delay = m.delay();
   const double nominal = timing::corner_delay(m.graph(), 0.0);

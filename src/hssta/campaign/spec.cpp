@@ -61,8 +61,8 @@ Axis parse_axis(const util::JsonValue& a, const std::string& base_dir) {
       c.op = serve::ChangeSpec::Op::kSigma;
       c.param = param;
       c.scale = s.as_number();
-      axis.values.push_back(
-          {"p" + std::to_string(param) + "x" + fmt(c.scale), c});
+      const std::string index = std::to_string(param);
+      axis.values.push_back({"p" + index + "x" + fmt(c.scale), c});
     }
   } else if (type == "swap") {
     check_keys(a, "swap axis", {"type", "inst", "files"});
@@ -77,8 +77,8 @@ Axis parse_axis(const util::JsonValue& a, const std::string& base_dir) {
       c.file = resolve_path(f.as_string(), base_dir);
       HSSTA_REQUIRE(!f.as_string().empty(),
                     "campaign spec: swap axis file must be non-empty");
-      axis.values.push_back(
-          {"u" + std::to_string(inst) + "=" + f.as_string(), c});
+      const std::string index = std::to_string(inst);
+      axis.values.push_back({"u" + index + "=" + f.as_string(), c});
     }
   } else if (type == "move") {
     check_keys(a, "move axis", {"type", "inst", "points"});
@@ -94,9 +94,9 @@ Axis parse_axis(const util::JsonValue& a, const std::string& base_dir) {
       c.inst = inst;
       c.x = p.items()[0].as_number();
       c.y = p.items()[1].as_number();
-      axis.values.push_back({"u" + std::to_string(inst) + "@(" + fmt(c.x) +
-                                 "," + fmt(c.y) + ")",
-                             c});
+      const std::string index = std::to_string(inst);
+      axis.values.push_back(
+          {"u" + index + "@(" + fmt(c.x) + "," + fmt(c.y) + ")", c});
     }
   } else if (type == "rewire") {
     check_keys(a, "rewire axis", {"type", "conn", "routes"});
@@ -116,9 +116,9 @@ Axis parse_axis(const util::JsonValue& a, const std::string& base_dir) {
                              count_field(r, "from_port")};
       c.to =
           hier::PortRef{count_field(r, "to_inst"), count_field(r, "to_port")};
+      const std::string index = std::to_string(conn);
       axis.values.push_back(
-          {"c" + std::to_string(conn) + "->u" +
-               std::to_string(c.from.instance) + ".o" +
+          {"c" + index + "->u" + std::to_string(c.from.instance) + ".o" +
                std::to_string(c.from.port) + ":u" +
                std::to_string(c.to.instance) + ".i" + std::to_string(c.to.port),
            c});

@@ -635,7 +635,9 @@ void check_design_level(Emitter& e, const hier::HierDesign& d) {
     e.emit("HSC047", d.name(), "design has no primary outputs");
 
   const auto inst_name = [&](size_t i) {
-    return insts[i].name.empty() ? "#" + std::to_string(i) : insts[i].name;
+    if (!insts[i].name.empty()) return insts[i].name;
+    const std::string index = std::to_string(i);
+    return "#" + index;
   };
   const auto in_count = [&](size_t i) -> size_t {
     return insts[i].model ? insts[i].model->graph().inputs().size() : 0;

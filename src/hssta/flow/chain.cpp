@@ -43,9 +43,10 @@ size_t add_instance_at(Design& design, const std::string& file, size_t idx,
   }
   if (model_it != overrides.models.end())
     return design.add_instance(model_it->second, ox, oy);
-  if (is_model_file(file))
-    return design.add_instance_from_model_file(file, ox, oy,
-                                               "u" + std::to_string(idx));
+  if (is_model_file(file)) {
+    const std::string index = std::to_string(idx);
+    return design.add_instance_from_model_file(file, ox, oy, "u" + index);
+  }
   return design.add_instance(Module::from_file(file, cfg), ox, oy);
 }
 
@@ -130,10 +131,12 @@ Design build_star_design(const std::string& name,
     const placement::Die& die = model ? model->die() : module->model().die();
     const double x = static_cast<double>(idx % 4) * die.width;
     const double y = static_cast<double>(idx / 4) * die.height;
-    if (model)
-      design.add_instance(std::move(model), x, y, "u" + std::to_string(idx));
-    else
+    if (model) {
+      const std::string index = std::to_string(idx);
+      design.add_instance(std::move(model), x, y, "u" + index);
+    } else {
       design.add_instance(*module, x, y);
+    }
   }
 
   // Every hub input driven round-robin from the leaves.

@@ -40,7 +40,10 @@ Design::Design(Design&& other) noexcept
 size_t Design::add_instance(const Module& module, double x, double y,
                             std::string name) {
   invalidate();
-  if (name.empty()) name = "u" + std::to_string(instances_.size());
+  if (name.empty()) {
+    const std::string index = std::to_string(instances_.size());
+    name = "u" + index;
+  }
   instances_.push_back(
       Instance{std::move(name), module, nullptr, placement::Point{x, y}});
   return instances_.size() - 1;
@@ -50,7 +53,10 @@ size_t Design::add_instance(std::shared_ptr<const model::TimingModel> model,
                             double x, double y, std::string name) {
   HSSTA_REQUIRE(model != nullptr, "add_instance: null model");
   invalidate();
-  if (name.empty()) name = "u" + std::to_string(instances_.size());
+  if (name.empty()) {
+    const std::string index = std::to_string(instances_.size());
+    name = "u" + index;
+  }
   instances_.push_back(Instance{std::move(name), std::nullopt,
                                 std::move(model), placement::Point{x, y}});
   return instances_.size() - 1;

@@ -696,7 +696,10 @@ std::string function_string(GateFunc func, size_t n) {
   bool negated = false;
   switch (func) {
     case GateFunc::kBuf: return pin_name(0);
-    case GateFunc::kNot: return "!" + pin_name(0);
+    case GateFunc::kNot: {
+      const std::string pin = pin_name(0);
+      return "!" + pin;
+    }
     case GateFunc::kAnd: op = "*"; break;
     case GateFunc::kNand: op = "*"; negated = true; break;
     case GateFunc::kOr: op = "+"; break;

@@ -335,8 +335,10 @@ Netlist make_random_dag(const RandomDagSpec& spec, const CellLibrary& lib,
   Netlist nl(spec.name);
   std::vector<NetId> pis;
   pis.reserve(spec.num_inputs);
-  for (size_t i = 0; i < spec.num_inputs; ++i)
-    pis.push_back(nl.add_primary_input("in" + std::to_string(i)));
+  for (size_t i = 0; i < spec.num_inputs; ++i) {
+    const std::string index = std::to_string(i);
+    pis.push_back(nl.add_primary_input("in" + index));
+  }
   if (stats) *stats = {};
   const std::vector<NetId> pos =
       build_dag_tile(nl, spec, pis, "", lib, rng, stats);
@@ -354,11 +356,15 @@ Netlist make_stacked_dag(const StackedDagSpec& spec, const CellLibrary& lib,
   if (stats) *stats = {};
   std::vector<NetId> frontier;
   frontier.reserve(spec.tile.num_inputs);
-  for (size_t i = 0; i < spec.tile.num_inputs; ++i)
-    frontier.push_back(nl.add_primary_input("in" + std::to_string(i)));
-  for (size_t t = 0; t < spec.num_tiles; ++t)
-    frontier = build_dag_tile(nl, spec.tile, frontier,
-                              "t" + std::to_string(t) + "_", lib, rng, stats);
+  for (size_t i = 0; i < spec.tile.num_inputs; ++i) {
+    const std::string index = std::to_string(i);
+    frontier.push_back(nl.add_primary_input("in" + index));
+  }
+  for (size_t t = 0; t < spec.num_tiles; ++t) {
+    const std::string tile = std::to_string(t);
+    frontier = build_dag_tile(nl, spec.tile, frontier, "t" + tile + "_", lib,
+                              rng, stats);
+  }
   for (NetId po : frontier) nl.mark_primary_output(po);
   nl.validate();
   return nl;
@@ -393,22 +399,31 @@ Netlist make_array_multiplier(size_t bits_a, size_t bits_b,
   Builder bb(nl, lib);
 
   std::vector<NetId> a(bits_a), b(bits_b);
-  for (size_t i = 0; i < bits_a; ++i)
-    a[i] = nl.add_primary_input("a" + std::to_string(i));
-  for (size_t j = 0; j < bits_b; ++j)
-    b[j] = nl.add_primary_input("b" + std::to_string(j));
+  for (size_t i = 0; i < bits_a; ++i) {
+    const std::string bit = std::to_string(i);
+    a[i] = nl.add_primary_input("a" + bit);
+  }
+  for (size_t j = 0; j < bits_b; ++j) {
+    const std::string bit = std::to_string(j);
+    b[j] = nl.add_primary_input("b" + bit);
+  }
 
   // Shared operand inverters; partial products are NOR2(~a, ~b) = a & b,
   // matching the NOR-only structure of c6288.
   std::vector<NetId> na(bits_a), nb(bits_b);
-  for (size_t i = 0; i < bits_a; ++i)
-    na[i] = bb.emit("INV", {a[i]}, "na" + std::to_string(i));
-  for (size_t j = 0; j < bits_b; ++j)
-    nb[j] = bb.emit("INV", {b[j]}, "nb" + std::to_string(j));
+  for (size_t i = 0; i < bits_a; ++i) {
+    const std::string bit = std::to_string(i);
+    na[i] = bb.emit("INV", {a[i]}, "na" + bit);
+  }
+  for (size_t j = 0; j < bits_b; ++j) {
+    const std::string bit = std::to_string(j);
+    nb[j] = bb.emit("INV", {b[j]}, "nb" + bit);
+  }
 
   auto pp = [&](size_t i, size_t j) {
-    return bb.emit("NOR2", {na[i], nb[j]},
-                   "p" + std::to_string(i) + "_" + std::to_string(j));
+    const std::string row = std::to_string(i);
+    const std::string col = std::to_string(j);
+    return bb.emit("NOR2", {na[i], nb[j]}, "p" + row + "_" + col);
   };
 
   // NOR-only half adder (5 gates): s = x ^ y, c = x & y.
@@ -447,8 +462,9 @@ Netlist make_array_multiplier(size_t bits_a, size_t bits_b,
     for (size_t j = 0; j < bits_b; ++j) {
       const size_t pos = i + j;
       const NetId p = pp(i, j);
-      const std::string tag =
-          "r" + std::to_string(i) + "c" + std::to_string(j);
+      const std::string row = std::to_string(i);
+      const std::string col = std::to_string(j);
+      const std::string tag = "r" + row + "c" + col;
       std::vector<NetId> addends;
       if (acc[pos] != kNone) addends.push_back(acc[pos]);
       addends.push_back(p);
@@ -488,14 +504,19 @@ Netlist make_ripple_adder(size_t bits, const CellLibrary& lib,
   Builder bb(nl, lib);
 
   std::vector<NetId> a(bits), b(bits);
-  for (size_t i = 0; i < bits; ++i)
-    a[i] = nl.add_primary_input("a" + std::to_string(i));
-  for (size_t i = 0; i < bits; ++i)
-    b[i] = nl.add_primary_input("b" + std::to_string(i));
+  for (size_t i = 0; i < bits; ++i) {
+    const std::string bit = std::to_string(i);
+    a[i] = nl.add_primary_input("a" + bit);
+  }
+  for (size_t i = 0; i < bits; ++i) {
+    const std::string bit = std::to_string(i);
+    b[i] = nl.add_primary_input("b" + bit);
+  }
   NetId carry = nl.add_primary_input("cin");
 
   for (size_t i = 0; i < bits; ++i) {
-    const std::string tag = "fa" + std::to_string(i);
+    const std::string bit = std::to_string(i);
+    const std::string tag = "fa" + bit;
     const NetId axb = bb.emit("XOR2", {a[i], b[i]}, tag + "_axb");
     const NetId s = bb.emit("XOR2", {axb, carry}, tag + "_s");
     const NetId and1 = bb.emit("AND2", {a[i], b[i]}, tag + "_and1");

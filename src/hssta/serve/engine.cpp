@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <fstream>
 #include <future>
 #include <iterator>
 #include <optional>
@@ -12,6 +13,7 @@
 #include "hssta/check/check.hpp"
 #include "hssta/exec/executor.hpp"
 #include "hssta/flow/chain.hpp"
+#include "hssta/flow/detect.hpp"
 #include "hssta/flow/report.hpp"
 #include "hssta/util/error.hpp"
 #include "hssta/util/timer.hpp"
@@ -37,6 +39,8 @@ constexpr std::string_view kCounterNames[] = {
     "ecos",
     "analyzes",
     "sweeps",
+    "models_parsed",
+    "models_reused",
 };
 
 /// A handler's coded refusal; answer() turns it into the error response.
@@ -53,6 +57,16 @@ struct Refusal {
 double seconds_between(std::chrono::steady_clock::time_point a,
                        std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
+}
+
+/// What can be read of `path`, to end of file: empty when it does not
+/// open or its first read fails (a directory opens, then fails to read).
+/// No size is taken from the stream on trust.
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream bytes;
+  if (is) bytes << is.rdbuf();
+  return std::move(bytes).str();
 }
 
 }  // namespace
@@ -293,12 +307,59 @@ void Engine::apply_changes(incr::DesignState& state,
   try {
     std::vector<incr::Change> changes;
     changes.reserve(specs.size());
-    for (const ChangeSpec& spec : specs)
-      changes.push_back(resolve_change(spec, opts_.config));
+    for (const ChangeSpec& spec : specs) changes.push_back(resolve(spec));
     for (const incr::Change& c : changes) incr::apply_change(state, c);
   } catch (const std::exception& e) {
     refuse(kInvalidChange, e.what());
   }
+}
+
+incr::Change Engine::resolve(const ChangeSpec& spec) {
+  if (spec.op != ChangeSpec::Op::kSwap)
+    return resolve_change(spec, opts_.config);
+  return incr::ReplaceModule{spec.inst, variant_model(spec.file)};
+}
+
+std::shared_ptr<const model::TimingModel> Engine::variant_model(
+    const std::string& file) {
+  // Anything but .hstm content loads as in a one-shot run, so a netlist
+  // variant and every unreadable or empty path keep that path's result
+  // and error text. A .hstm parses from the bytes just read: no second
+  // read can see a different file.
+  std::string bytes = read_bytes(file);
+  if (flow::detect_format(bytes) != flow::FileFormat::kHstm)
+    return flow::load_variant_model(file, opts_.config);
+
+  std::shared_ptr<const model::TimingModel> parsed;
+  {
+    std::lock_guard<std::mutex> lock(models_mu_);
+    const auto it = models_.find(file);
+    if (it != models_.end() && it->second.bytes == bytes)
+      parsed = it->second.model.lock();
+  }
+  if (parsed) {
+    bump(kModelsReused);
+  } else {
+    std::istringstream is(bytes);
+    parsed = std::make_shared<const model::TimingModel>(
+        model::TimingModel::load(is));
+    bump(kModelsParsed);
+    std::lock_guard<std::mutex> lock(models_mu_);
+    std::erase_if(models_,
+                  [](const auto& e) { return e.second.model.expired(); });
+    // A concurrent miss on the same bytes may have landed first; it wins.
+    ParsedModel& entry = models_[file];
+    std::shared_ptr<const model::TimingModel> live = entry.model.lock();
+    if (live && entry.bytes == bytes)
+      parsed = std::move(live);
+    else
+      entry = ParsedModel{std::move(bytes), parsed};
+  }
+  // The copy owns a reference to the parsed model, which lives as long as
+  // any of its copies does.
+  return std::shared_ptr<const model::TimingModel>(
+      new model::TimingModel(*parsed),
+      [parsed](const model::TimingModel* copy) { delete copy; });
 }
 
 void Engine::open(incr::DesignState state, const std::string* file,
@@ -412,7 +473,7 @@ void Engine::handle_sweep(const Request& req, util::JsonWriter& w) {
       sc.label = spec.label;
       sc.changes.reserve(spec.changes.size());
       for (const ChangeSpec& c : spec.changes)
-        sc.changes.push_back(resolve_change(c, opts_.config));
+        sc.changes.push_back(resolve(c));
       scenarios.push_back(std::move(sc));
     }
     // The runner needs an analyzed base with nothing pending: flush any

@@ -12,6 +12,20 @@
 /// re-propagates only the dirty cone, exactly like `hssta_cli eco`, and
 /// returns bit-identical numbers.
 ///
+/// Swaps resolve through a model table. Every swap (in eco, analyze or a
+/// sweep scenario) reads its variant file, because the file may have
+/// changed since the last request. When it holds a .hstm model, the table
+/// compares the bytes with the ones it last parsed from that path and
+/// parses again only when they differ or no session holds that model any
+/// more; other content (a netlist variant, an unreadable path) loads
+/// through flow::load_variant_model as in a one-shot run, errors included.
+/// Each resolution gets a private copy of the parsed model, never the
+/// shared object: a saved session embeds one model per distinct pointer
+/// and the hierarchical checks attribute findings by pointer, so sharing
+/// would change saved bytes and fingerprints. A copy keeps its parsed
+/// model alive, and a table entry lives exactly as long as some session
+/// or sweep holds one of its copies.
+///
 /// Concurrency runs on per-session lanes. A session verb's lane is its
 /// session id; every other verb shares one control lane.
 ///
@@ -63,6 +77,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -162,6 +177,8 @@ class Engine {
     kEcos,
     kAnalyzes,
     kSweeps,
+    kModelsParsed,  ///< a swap parsed its .hstm: no live entry held its bytes
+    kModelsReused,  ///< a swap reused a parsed model
     kNumCounters
   };
 
@@ -215,6 +232,13 @@ class Engine {
   /// file, ...) leaves `state` untouched.
   void apply_changes(incr::DesignState& state,
                      const std::vector<ChangeSpec>& specs);
+  /// The engine change of `spec`: a swap gets a copy of its variant model
+  /// from the model table, any other change is resolve_change's.
+  [[nodiscard]] incr::Change resolve(const ChangeSpec& spec);
+  /// A private copy of the model in variant file `file`, parsed only when
+  /// no live table entry holds the file's current bytes.
+  [[nodiscard]] std::shared_ptr<const model::TimingModel> variant_model(
+      const std::string& file);
   /// Publish `state` as a new session, or refuse "saturated". Writes the
   /// session id, its design, `file` when given and its delay first: once
   /// in the map, the session belongs to its lane, which may already hold
@@ -242,6 +266,18 @@ class Engine {
   std::map<uint64_t, Session> sessions_;
   std::set<uint64_t> evicted_ids_;
   uint64_t next_session_ = 1;
+
+  /// A variant .hstm as last parsed: its bytes and the model parsed from
+  /// them, alive while some copy of it is.
+  struct ParsedModel {
+    std::string bytes;
+    std::weak_ptr<const model::TimingModel> model;
+  };
+  /// The model table, keyed by variant path. It has its own mutex, not
+  /// mu_: lanes resolve swaps concurrently, and the file reads and parses
+  /// run outside it.
+  std::mutex models_mu_;
+  std::map<std::string, ParsedModel> models_;
 
   /// Atomics: bumped from worker threads and submitters.
   std::array<std::atomic<uint64_t>, kNumCounters> counters_{};

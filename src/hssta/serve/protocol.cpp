@@ -118,10 +118,12 @@ Request parse_request(const std::string& line) {
         const util::JsonValue& sc = arr.items()[i];
         HSSTA_REQUIRE(sc.is_object(), "scenario must be an object");
         ScenarioSpec spec;
-        if (const util::JsonValue* label = sc.find("label"))
+        if (const util::JsonValue* label = sc.find("label")) {
           spec.label = label->as_string();
-        else
-          spec.label = "s" + std::to_string(i);
+        } else {
+          const std::string index = std::to_string(i);
+          spec.label = "s" + index;
+        }
         spec.changes = parse_changes(sc.at("changes"), "scenario changes");
         req.scenarios.push_back(std::move(spec));
       }

@@ -134,9 +134,10 @@ struct Request {
 /// whose expanded scenarios carry wire-schema changes.
 [[nodiscard]] ChangeSpec parse_change_spec(const util::JsonValue& c);
 
-/// Resolve a wire change into an engine change, loading a swap's model
-/// file through the module pipeline (and the persistent model cache when
-/// configured).
+/// Resolve a wire change into an engine change: the one-shot path. Every
+/// call loads a swap's model file afresh through the module pipeline (and
+/// the persistent model cache when configured); serve::Engine resolves
+/// swaps through its model table instead and calls this for the rest.
 [[nodiscard]] incr::Change resolve_change(const ChangeSpec& spec,
                                           const flow::Config& cfg);
 

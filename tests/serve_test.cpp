@@ -1,7 +1,8 @@
 // End-to-end tests for the serve layer: wire-protocol parsing
 // (serve::protocol), the request engine (sessions, per-session lanes that
 // answer each request when it finishes, admission control, eviction
-// beside running sessions, graceful shutdown), the Unix-domain-socket
+// beside running sessions, graceful shutdown, the model table that swaps
+// resolve through), the Unix-domain-socket
 // transport + client (including per-connection response order under
 // pipelining) and the stdio stream transport. The load-bearing assertions
 // are bit-identity ones:
@@ -15,6 +16,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -41,8 +43,10 @@
 #include "hssta/serve/socket.hpp"
 #include "hssta/serve/stream.hpp"
 #include "hssta/util/error.hpp"
+#include "hssta/util/hash.hpp"
 #include "hssta/util/json.hpp"
 #include "hssta/util/version.hpp"
+#include "synthetic_designs.hpp"
 
 namespace hssta {
 namespace {
@@ -230,6 +234,29 @@ class ServeTest : public ::testing::Test {
     return d.analyze().delay();
   }
 
+  /// An analyze request on `session` that first swaps instance `inst` to
+  /// the variant file `path`.
+  [[nodiscard]] static std::string swap_line(uint64_t session, size_t inst,
+                                             const std::string& path) {
+    return R"({"verb":"analyze","session":)" + std::to_string(session) +
+           R"(,"changes":[{"op":"swap","inst":)" + std::to_string(inst) +
+           R"(,"file":")" + path + R"("}]})";
+  }
+
+  /// Save c.bench's extracted model as `name` and return its path: a
+  /// variant that fits either chain instance.
+  [[nodiscard]] std::string variant_hstm(const char* name) const {
+    const std::string path = file(name);
+    flow::load_variant_model(file("c.bench"), {})->save_file(path);
+    return path;
+  }
+
+  /// The `stats` verb's counter `name`.
+  static uint64_t counter(serve::Engine& engine, const std::string& name) {
+    const JsonValue stats = ok(engine, R"({"verb":"stats"})");
+    return stats.at("counters").at(name).as_count(name);
+  }
+
   static void expect_delay_eq(const JsonValue& delay,
                               const timing::CanonicalForm& expected) {
     EXPECT_EQ(delay.at("mean").as_number(), expected.nominal());
@@ -387,6 +414,8 @@ TEST_F(ServeTest, CountersAccountForEveryResponse) {
       "ecos",
       "analyzes",
       "sweeps",
+      "models_parsed",
+      "models_reused",
   };
   ASSERT_EQ(counters.members().size(), names.size());
   for (size_t i = 0; i < names.size(); ++i)
@@ -409,6 +438,8 @@ TEST_F(ServeTest, CountersAccountForEveryResponse) {
   EXPECT_EQ(count("ecos"), 1u);
   EXPECT_EQ(count("analyzes"), 1u);
   EXPECT_EQ(count("sweeps"), 1u);
+  EXPECT_EQ(count("models_parsed"), 0u);  // the deck swaps nothing
+  EXPECT_EQ(count("models_reused"), 0u);
 }
 
 // --- error paths ------------------------------------------------------------
@@ -441,14 +472,44 @@ TEST_F(ServeTest, UnbuildableDesignIsABadRequest) {
 }
 
 TEST_F(ServeTest, InvalidChangeLeavesSessionUsable) {
+  // A model cut inside its last edge line, before the final coefficient.
+  std::ostringstream model;
+  flow::load_variant_model(file("c.bench"), {})->save(model);
+  const std::string text = model.str();
+  const size_t cut = text.rfind(' ', text.rfind("\nend"));
+  const std::string truncated = file("truncated.hstm");
+  std::ofstream(truncated) << text.substr(0, cut);
+  fs::create_directories(dir_ / "x.hstm");
+
   serve::Engine engine;
   ok(engine, load_line());
   ok(engine, R"({"verb":"open_session","design":"d"})");
-  // Missing variant file: resolved before anything applies.
-  fail(engine,
-       R"({"verb":"eco","session":1,"changes":[)"
-       R"({"op":"swap","inst":0,"file":"/nonexistent/v.bench"}]})",
-       serve::kInvalidChange);
+  // Variant files that do not load are resolved before anything applies,
+  // and refused with exactly the error a one-shot load of the path throws.
+  const std::vector<std::string> variants = {
+      "/nonexistent/v.bench",
+      file("missing.hstm"),
+      truncated,
+      file("x.hstm"),
+      "/dev/null",
+  };
+  for (const std::string& variant : variants) {
+    std::string expected;
+    try {
+      (void)flow::load_variant_model(variant, {});
+    } catch (const std::exception& e) {
+      expected = e.what();
+    }
+    ASSERT_FALSE(expected.empty()) << variant;
+    const JsonValue doc =
+        fail(engine, swap_line(1, 0, variant), serve::kInvalidChange);
+    EXPECT_EQ(doc.at("error").as_string(), expected) << variant;
+    if (variant == truncated) {
+      EXPECT_NE(expected.find("model file truncated at edge coefficient"),
+                std::string::npos)
+          << expected;
+    }
+  }
   // Invalid rewire: recorded, then rejected by analyze() — which leaves
   // derived state untouched, so the session keeps working.
   fail(engine,
@@ -458,6 +519,144 @@ TEST_F(ServeTest, InvalidChangeLeavesSessionUsable) {
        serve::kInvalidChange);
   const JsonValue analyzed = ok(engine, R"({"verb":"analyze","session":1})");
   expect_delay_eq(analyzed.at("delay"), reference_delay());
+}
+
+// --- the model table -------------------------------------------------------
+
+TEST_F(ServeTest, SwapRereadsARewrittenVariantFile) {
+  // Two variants of one geometry, padded to one length (the loader skips
+  // trailing whitespace) and later given one mtime: only their bytes
+  // tell them apart.
+  const std::shared_ptr<const model::TimingModel> base =
+      flow::load_variant_model(file("c.bench"), {});
+  std::ostringstream a_os, b_os;
+  base->save(a_os);
+  testing::scaled_variant(*base, 1.5)->save(b_os);
+  std::string a = a_os.str(), b = b_os.str();
+  const size_t size = std::max(a.size(), b.size());
+  a.resize(size, '\n');
+  b.resize(size, '\n');
+  const std::string v = file("v.hstm");
+  std::ofstream(v, std::ios::binary) << a;
+
+  serve::Engine engine;
+  ok(engine, load_line());
+  ok(engine, R"({"verb":"open_session","design":"d"})");
+  const JsonValue first = ok(engine, swap_line(1, 0, v));
+  flow::ChainOverrides with_a;
+  with_a.models[0] = flow::load_variant_model(v, {});
+  expect_delay_eq(first.at("delay"), reference_delay(with_a));
+
+  // Rewrite the file in place (same inode, size and mtime) and swap again.
+  const fs::file_time_type mtime = fs::last_write_time(v);
+  std::ofstream(v, std::ios::binary | std::ios::trunc) << b;
+  fs::last_write_time(v, mtime);
+  ASSERT_EQ(fs::file_size(v), size);
+  const JsonValue second = ok(engine, swap_line(1, 0, v));
+  flow::ChainOverrides with_b;
+  with_b.models[0] = flow::load_variant_model(v, {});
+  expect_delay_eq(second.at("delay"), reference_delay(with_b));
+  EXPECT_NE(second.at("delay").at("mean").as_number(),
+            first.at("delay").at("mean").as_number());
+  EXPECT_EQ(counter(engine, "models_parsed"), 2u);
+  EXPECT_EQ(counter(engine, "models_reused"), 0u);
+}
+
+TEST_F(ServeTest, RepeatedSwapsKeepFingerprintsAndSavedState) {
+  const std::string v = variant_hstm("v.hstm");
+  const std::string saved = file("s.hsds");
+  serve::Engine engine;
+  ok(engine, load_line());
+  ok(engine, R"({"verb":"open_session","design":"d"})");
+  ok(engine, swap_line(1, 0, v));
+  ok(engine, swap_line(1, 1, v));
+  const JsonValue swept = ok(
+      engine, R"({"verb":"sweep","session":1,"scenarios":[)"
+              R"({"changes":[{"op":"sigma","param":0,"scale":0.9}]}]})");
+  ok(engine, R"({"verb":"save_session","session":1,"file":")" + saved +
+                 R"("})");
+
+  // The reference gives each instance its own loaded copy of the model,
+  // as separate loads do: a saved state embeds one model per object, and
+  // scenario fingerprints hash the saved state.
+  flow::Config cfg;
+  const flow::Design design = flow::build_chain_design(
+      "d", {file("a.bench"), file("b.bench")}, cfg);
+  (void)design.analyze_incremental();
+  incr::DesignState ref = design.incremental();
+  ref.replace_module(0, flow::load_variant_model(v, cfg));
+  (void)ref.analyze();
+  ref.replace_module(1, flow::load_variant_model(v, cfg));
+  (void)ref.analyze();
+
+  const std::vector<incr::Change> sigma = {incr::SigmaScale{0, 0.9}};
+  const uint64_t fingerprint =
+      incr::scenario_fingerprint(incr::state_fingerprint(ref), sigma);
+  const std::vector<JsonValue>& scenarios = swept.at("scenarios").items();
+  ASSERT_EQ(scenarios.size(), 1u);
+  EXPECT_EQ(scenarios[0].at("fingerprint").as_string(),
+            util::Fnv1a::hex(fingerprint));
+  std::ostringstream want, got;
+  ref.save(want);
+  got << std::ifstream(saved, std::ios::binary).rdbuf();
+  EXPECT_EQ(got.str(), want.str());
+  EXPECT_EQ(counter(engine, "models_parsed"), 1u);
+  EXPECT_EQ(counter(engine, "models_reused"), 1u);
+}
+
+TEST_F(ServeTest, ModelTableForgetsModelsNoSessionHolds) {
+  const std::string v = variant_hstm("v.hstm");
+  serve::Engine engine;
+  ok(engine, load_line());
+  ok(engine, R"({"verb":"open_session","design":"d"})");
+  ok(engine, R"({"verb":"open_session","design":"d"})");
+  ok(engine, swap_line(1, 0, v));
+  ok(engine, swap_line(2, 0, v));
+  EXPECT_EQ(counter(engine, "models_parsed"), 1u);
+  EXPECT_EQ(counter(engine, "models_reused"), 1u);
+
+  // With both sessions closed nothing holds the model, so the table lets
+  // it go and the next swap of the same file parses again.
+  ok(engine, R"({"verb":"close_session","session":1})");
+  ok(engine, R"({"verb":"close_session","session":2})");
+  ok(engine, R"({"verb":"open_session","design":"d"})");
+  ok(engine, swap_line(3, 0, v));
+  EXPECT_EQ(counter(engine, "models_parsed"), 2u);
+  EXPECT_EQ(counter(engine, "models_reused"), 1u);
+}
+
+TEST_F(ServeTest, ConcurrentSwapsOfOneVariantAgree) {
+  const std::string v = variant_hstm("v.hstm");
+  serve::EngineOptions opts;
+  opts.threads = 4;
+  serve::Engine engine(opts);
+  ok(engine, load_line());
+  constexpr uint64_t kSessions = 4;
+  for (uint64_t k = 0; k < kSessions; ++k)
+    ok(engine, R"({"verb":"open_session","design":"d"})");
+
+  // Each session has its own lane, so the swaps resolve side by side;
+  // every one answers the reference delay, whichever parse the table
+  // keeps.
+  std::vector<std::string> responses(kSessions);
+  std::vector<std::thread> threads;
+  for (uint64_t k = 0; k < kSessions; ++k)
+    threads.emplace_back([&engine, &responses, &v, k] {
+      responses[k] = engine.request(swap_line(k + 1, 0, v));
+    });
+  for (std::thread& t : threads) t.join();
+
+  flow::ChainOverrides overrides;
+  overrides.models[0] = flow::load_variant_model(v, {});
+  const timing::CanonicalForm expected = reference_delay(overrides);
+  for (const std::string& response : responses) {
+    const JsonValue doc = JsonReader::parse(response);
+    ASSERT_TRUE(doc.at("ok").as_bool()) << response;
+    expect_delay_eq(doc.at("delay"), expected);
+  }
+  const uint64_t parsed = counter(engine, "models_parsed");
+  EXPECT_GE(parsed, 1u);
+  EXPECT_EQ(parsed + counter(engine, "models_reused"), kSessions);
 }
 
 TEST_F(ServeTest, DoubleCloseReportsClosedNotUnknown) {
