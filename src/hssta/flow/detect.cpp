@@ -80,9 +80,7 @@ FileFormat detect_format(std::string_view text) {
 FileFormat detect_file_format(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw Error("cannot open file: " + path);
-  // The first significant line sits well within this prefix for every
-  // format we accept (comments ahead of it are skipped line by line).
-  std::string prefix(64 * 1024, '\0');
+  std::string prefix(kDetectPrefixBytes, '\0');
   is.read(prefix.data(), static_cast<std::streamsize>(prefix.size()));
   prefix.resize(static_cast<size_t>(is.gcount()));
   return detect_format(prefix);

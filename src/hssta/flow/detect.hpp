@@ -17,6 +17,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -38,8 +39,13 @@ enum class FileFormat {
 /// Detect the format from document text (first significant line wins).
 [[nodiscard]] FileFormat detect_format(std::string_view text);
 
-/// Detect the format of a file by reading a bounded prefix. Throws
-/// hssta::Error when the file cannot be opened.
+/// The prefix detect_file_format reads: the first significant line sits
+/// well within it for every format we accept (comments ahead of it are
+/// skipped line by line).
+inline constexpr size_t kDetectPrefixBytes = 64 * 1024;
+
+/// Detect the format of a file by reading its first kDetectPrefixBytes.
+/// Throws hssta::Error when the file cannot be opened.
 [[nodiscard]] FileFormat detect_file_format(const std::string& path);
 
 }  // namespace hssta::flow

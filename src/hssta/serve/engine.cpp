@@ -59,14 +59,29 @@ double seconds_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double>(b - a).count();
 }
 
-/// What can be read of `path`, to end of file: empty when it does not
-/// open or its first read fails (a directory opens, then fails to read).
-/// No size is taken from the stream on trust.
-std::string read_bytes(const std::string& path) {
+/// Append up to `n` more bytes of `is` to `bytes`; false once `is` has
+/// ended or failed (a directory opens, then fails its first read).
+bool read_more(std::istream& is, std::string& bytes, size_t n) {
+  const size_t have = bytes.size();
+  bytes.resize(have + n);
+  is.read(bytes.data() + have, static_cast<std::streamsize>(n));
+  bytes.resize(have + static_cast<size_t>(is.gcount()));
+  return static_cast<bool>(is);
+}
+
+/// The bytes of `path` when it holds a .hstm model, else nothing. The
+/// format is decided on the prefix flow::detect_file_format reads, so a
+/// path that never ends (/dev/zero) or a large non-model file costs one
+/// bounded read; only .hstm content is read on to end of file, into the
+/// same buffer. No size is taken from the stream on trust.
+std::optional<std::string> hstm_bytes(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
-  std::ostringstream bytes;
-  if (is) bytes << is.rdbuf();
-  return std::move(bytes).str();
+  std::string bytes;
+  bool more = read_more(is, bytes, flow::kDetectPrefixBytes);
+  if (flow::detect_format(bytes) != flow::FileFormat::kHstm)
+    return std::nullopt;
+  while (more) more = read_more(is, bytes, bytes.size());
+  return bytes;
 }
 
 }  // namespace
@@ -326,21 +341,20 @@ std::shared_ptr<const model::TimingModel> Engine::variant_model(
   // variant and every unreadable or empty path keep that path's result
   // and error text. A .hstm parses from the bytes just read: no second
   // read can see a different file.
-  std::string bytes = read_bytes(file);
-  if (flow::detect_format(bytes) != flow::FileFormat::kHstm)
-    return flow::load_variant_model(file, opts_.config);
+  const std::optional<std::string> bytes = hstm_bytes(file);
+  if (!bytes) return flow::load_variant_model(file, opts_.config);
 
   std::shared_ptr<const model::TimingModel> parsed;
   {
     std::lock_guard<std::mutex> lock(models_mu_);
     const auto it = models_.find(file);
-    if (it != models_.end() && it->second.bytes == bytes)
+    if (it != models_.end() && it->second.bytes == *bytes)
       parsed = it->second.model.lock();
   }
   if (parsed) {
     bump(kModelsReused);
   } else {
-    std::istringstream is(bytes);
+    std::istringstream is(*bytes);
     parsed = std::make_shared<const model::TimingModel>(
         model::TimingModel::load(is));
     bump(kModelsParsed);
@@ -350,10 +364,10 @@ std::shared_ptr<const model::TimingModel> Engine::variant_model(
     // A concurrent miss on the same bytes may have landed first; it wins.
     ParsedModel& entry = models_[file];
     std::shared_ptr<const model::TimingModel> live = entry.model.lock();
-    if (live && entry.bytes == bytes)
+    if (live && entry.bytes == *bytes)
       parsed = std::move(live);
     else
-      entry = ParsedModel{std::move(bytes), parsed};
+      entry = ParsedModel{*bytes, parsed};
   }
   // The copy owns a reference to the parsed model, which lives as long as
   // any of its copies does.

@@ -14,11 +14,13 @@
 ///
 /// Swaps resolve through a model table. Every swap (in eco, analyze or a
 /// sweep scenario) reads its variant file, because the file may have
-/// changed since the last request. When it holds a .hstm model, the table
-/// compares the bytes with the ones it last parsed from that path and
-/// parses again only when they differ or no session holds that model any
-/// more; other content (a netlist variant, an unreadable path) loads
-/// through flow::load_variant_model as in a one-shot run, errors included.
+/// changed since the last request. The format is decided on a bounded
+/// prefix; other content than a .hstm model (a netlist variant, an
+/// unreadable or endless path) loads through flow::load_variant_model as
+/// in a one-shot run, errors included. A .hstm is read on to end of file,
+/// and the table compares its bytes with the ones it last parsed from
+/// that path and parses again only when they differ or no session holds
+/// that model any more.
 /// Each resolution gets a private copy of the parsed model, never the
 /// shared object: a saved session embeds one model per distinct pointer
 /// and the hierarchical checks attribute findings by pointer, so sharing

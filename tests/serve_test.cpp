@@ -27,6 +27,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -234,13 +235,20 @@ class ServeTest : public ::testing::Test {
     return d.analyze().delay();
   }
 
-  /// An analyze request on `session` that first swaps instance `inst` to
-  /// the variant file `path`.
-  [[nodiscard]] static std::string swap_line(uint64_t session, size_t inst,
-                                             const std::string& path) {
-    return R"({"verb":"analyze","session":)" + std::to_string(session) +
-           R"(,"changes":[{"op":"swap","inst":)" + std::to_string(inst) +
-           R"(,"file":")" + path + R"("}]})";
+  /// A `verb` request on `session` that swaps instance `inst` to the
+  /// variant file `path`: "analyze" applies and analyzes it, "eco" records
+  /// it, "sweep" runs it as the one scenario.
+  [[nodiscard]] static std::string swap_line(
+      uint64_t session, size_t inst, const std::string& path,
+      const std::string& verb = "analyze") {
+    const std::string index = std::to_string(inst);
+    const std::string changes = R"("changes":[{"op":"swap","inst":)" +
+                                index + R"(,"file":")" + path + R"("}])";
+    const std::string id = std::to_string(session);
+    return R"({"verb":")" + verb + R"(","session":)" + id + "," +
+           (verb == "sweep" ? R"("scenarios":[{)" + changes + "}]"
+                            : changes) +
+           "}";
   }
 
   /// Save c.bench's extracted model as `name` and return its path: a
@@ -485,13 +493,16 @@ TEST_F(ServeTest, InvalidChangeLeavesSessionUsable) {
   ok(engine, load_line());
   ok(engine, R"({"verb":"open_session","design":"d"})");
   // Variant files that do not load are resolved before anything applies,
-  // and refused with exactly the error a one-shot load of the path throws.
+  // and refused by every verb that swaps with exactly the error a one-shot
+  // load of the path throws. /dev/zero never ends: only a bounded prefix
+  // of it may be read.
   const std::vector<std::string> variants = {
       "/nonexistent/v.bench",
       file("missing.hstm"),
       truncated,
       file("x.hstm"),
       "/dev/null",
+      "/dev/zero",
   };
   for (const std::string& variant : variants) {
     std::string expected;
@@ -501,9 +512,12 @@ TEST_F(ServeTest, InvalidChangeLeavesSessionUsable) {
       expected = e.what();
     }
     ASSERT_FALSE(expected.empty()) << variant;
-    const JsonValue doc =
-        fail(engine, swap_line(1, 0, variant), serve::kInvalidChange);
-    EXPECT_EQ(doc.at("error").as_string(), expected) << variant;
+    for (const char* verb : {"eco", "analyze", "sweep"}) {
+      const JsonValue doc = fail(engine, swap_line(1, 0, variant, verb),
+                                 serve::kInvalidChange);
+      EXPECT_EQ(doc.at("error").as_string(), expected)
+          << verb << ' ' << variant;
+    }
     if (variant == truncated) {
       EXPECT_NE(expected.find("model file truncated at edge coefficient"),
                 std::string::npos)
@@ -602,6 +616,44 @@ TEST_F(ServeTest, RepeatedSwapsKeepFingerprintsAndSavedState) {
   EXPECT_EQ(got.str(), want.str());
   EXPECT_EQ(counter(engine, "models_parsed"), 1u);
   EXPECT_EQ(counter(engine, "models_reused"), 1u);
+}
+
+/// Bytes this process has read from files so far (all threads), or
+/// nothing where the kernel keeps no /proc/self/io.
+std::optional<uint64_t> bytes_read() {
+  std::ifstream io("/proc/self/io");
+  std::string key;
+  uint64_t value = 0;
+  while (io >> key >> value)
+    if (key == "rchar:") return value;
+  return std::nullopt;
+}
+
+TEST_F(ServeTest, NonModelVariantIsReadOnlyToItsFormatPrefix) {
+  // 64 MiB of NULs (a sparse file: no disk space) hold no model. A swap of
+  // it decides so on the format prefix and keeps the one-shot refusal;
+  // reading the whole file first would let a client name a path that
+  // never ends and grow the daemon until it dies.
+  const std::string big = file("big.bench");
+  std::ofstream(big).close();
+  fs::resize_file(big, 64u << 20);
+  std::string expected;
+  try {
+    (void)flow::load_variant_model(big, {});
+  } catch (const std::exception& e) {
+    expected = e.what();
+  }
+  ASSERT_FALSE(expected.empty());
+
+  serve::Engine engine;
+  ok(engine, load_line());
+  ok(engine, R"({"verb":"open_session","design":"d"})");
+  const std::optional<uint64_t> before = bytes_read();
+  if (!before) GTEST_SKIP() << "no /proc/self/io to count reads";
+  const JsonValue doc =
+      fail(engine, swap_line(1, 0, big), serve::kInvalidChange);
+  EXPECT_EQ(doc.at("error").as_string(), expected);
+  EXPECT_LT(bytes_read().value() - *before, 1u << 20);
 }
 
 TEST_F(ServeTest, ModelTableForgetsModelsNoSessionHolds) {
