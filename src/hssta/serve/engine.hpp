@@ -15,18 +15,17 @@
 /// Swaps resolve through a model table. Every swap (in eco, analyze or a
 /// sweep scenario) reads its variant file, because the file may have
 /// changed since the last request. The format is decided on a bounded
-/// prefix; other content than a .hstm model (a netlist variant, an
-/// unreadable or endless path) loads through flow::load_variant_model as
-/// in a one-shot run, errors included. A .hstm is read on to end of file,
-/// and the table compares its bytes with the ones it last parsed from
-/// that path and parses again only when they differ or no session holds
-/// that model any more.
-/// Each resolution gets a private copy of the parsed model, never the
-/// shared object: a saved session embeds one model per distinct pointer
-/// and the hierarchical checks attribute findings by pointer, so sharing
-/// would change saved bytes and fingerprints. A copy keeps its parsed
-/// model alive, and a table entry lives exactly as long as some session
-/// or sweep holds one of its copies.
+/// prefix: anything but a .hstm model (a netlist variant, an unreadable
+/// or endless path) loads through flow::load_variant_model as in a
+/// one-shot run, errors included. A .hstm is read on to end of file, and
+/// the table compares its bytes with the ones it last parsed from that
+/// path and parses again only when they differ or no session holds that
+/// model any more. Each resolution gets a private copy of the parsed
+/// model, never the shared object: a saved session embeds one model per
+/// distinct pointer and the hierarchical checks attribute findings by
+/// pointer, so sharing would change saved bytes and fingerprints. A copy
+/// keeps its parsed model alive, and a table entry lives exactly as long
+/// as some session or sweep holds one of its copies.
 ///
 /// Concurrency runs on per-session lanes. A session verb's lane is its
 /// session id; every other verb shares one control lane.

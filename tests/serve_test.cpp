@@ -479,6 +479,17 @@ TEST_F(ServeTest, UnbuildableDesignIsABadRequest) {
   ok(engine, load_line());
 }
 
+/// Bytes this process has read from files so far (all threads), or
+/// nothing where the kernel keeps no /proc/self/io.
+std::optional<uint64_t> bytes_read() {
+  std::ifstream io("/proc/self/io");
+  std::string key;
+  uint64_t value = 0;
+  while (io >> key >> value)
+    if (key == "rchar:") return value;
+  return std::nullopt;
+}
+
 TEST_F(ServeTest, InvalidChangeLeavesSessionUsable) {
   // A model cut inside its last edge line, before the final coefficient.
   std::ostringstream model;
@@ -488,19 +499,25 @@ TEST_F(ServeTest, InvalidChangeLeavesSessionUsable) {
   const std::string truncated = file("truncated.hstm");
   std::ofstream(truncated) << text.substr(0, cut);
   fs::create_directories(dir_ / "x.hstm");
+  // 64 MiB of NULs in a sparse file: no model, and no disk space.
+  const std::string big = file("big.bench");
+  std::ofstream(big).close();
+  fs::resize_file(big, 64u << 20);
 
   serve::Engine engine;
   ok(engine, load_line());
   ok(engine, R"({"verb":"open_session","design":"d"})");
   // Variant files that do not load are resolved before anything applies,
   // and refused by every verb that swaps with exactly the error a one-shot
-  // load of the path throws. /dev/zero never ends: only a bounded prefix
-  // of it may be read.
+  // load of the path throws. The refusal reads no more than format
+  // prefixes: a server that read a whole file first would grow without
+  // bound on a path that never ends, like /dev/zero.
   const std::vector<std::string> variants = {
       "/nonexistent/v.bench",
       file("missing.hstm"),
       truncated,
       file("x.hstm"),
+      big,
       "/dev/null",
       "/dev/zero",
   };
@@ -513,10 +530,15 @@ TEST_F(ServeTest, InvalidChangeLeavesSessionUsable) {
     }
     ASSERT_FALSE(expected.empty()) << variant;
     for (const char* verb : {"eco", "analyze", "sweep"}) {
+      const std::optional<uint64_t> before = bytes_read();
       const JsonValue doc = fail(engine, swap_line(1, 0, variant, verb),
                                  serve::kInvalidChange);
       EXPECT_EQ(doc.at("error").as_string(), expected)
           << verb << ' ' << variant;
+      if (before) {
+        EXPECT_LT(bytes_read().value() - *before, 1u << 20)
+            << verb << ' ' << variant;
+      }
     }
     if (variant == truncated) {
       EXPECT_NE(expected.find("model file truncated at edge coefficient"),
@@ -616,44 +638,6 @@ TEST_F(ServeTest, RepeatedSwapsKeepFingerprintsAndSavedState) {
   EXPECT_EQ(got.str(), want.str());
   EXPECT_EQ(counter(engine, "models_parsed"), 1u);
   EXPECT_EQ(counter(engine, "models_reused"), 1u);
-}
-
-/// Bytes this process has read from files so far (all threads), or
-/// nothing where the kernel keeps no /proc/self/io.
-std::optional<uint64_t> bytes_read() {
-  std::ifstream io("/proc/self/io");
-  std::string key;
-  uint64_t value = 0;
-  while (io >> key >> value)
-    if (key == "rchar:") return value;
-  return std::nullopt;
-}
-
-TEST_F(ServeTest, NonModelVariantIsReadOnlyToItsFormatPrefix) {
-  // 64 MiB of NULs (a sparse file: no disk space) hold no model. A swap of
-  // it decides so on the format prefix and keeps the one-shot refusal;
-  // reading the whole file first would let a client name a path that
-  // never ends and grow the daemon until it dies.
-  const std::string big = file("big.bench");
-  std::ofstream(big).close();
-  fs::resize_file(big, 64u << 20);
-  std::string expected;
-  try {
-    (void)flow::load_variant_model(big, {});
-  } catch (const std::exception& e) {
-    expected = e.what();
-  }
-  ASSERT_FALSE(expected.empty());
-
-  serve::Engine engine;
-  ok(engine, load_line());
-  ok(engine, R"({"verb":"open_session","design":"d"})");
-  const std::optional<uint64_t> before = bytes_read();
-  if (!before) GTEST_SKIP() << "no /proc/self/io to count reads";
-  const JsonValue doc =
-      fail(engine, swap_line(1, 0, big), serve::kInvalidChange);
-  EXPECT_EQ(doc.at("error").as_string(), expected);
-  EXPECT_LT(bytes_read().value() - *before, 1u << 20);
 }
 
 TEST_F(ServeTest, ModelTableForgetsModelsNoSessionHolds) {
