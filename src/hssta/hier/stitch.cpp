@@ -15,18 +15,10 @@ InstanceRemapper InstanceRemapper::replacement(
     const variation::VariationSpace& module_space,
     const variation::VariationSpace& design_space,
     std::span<const size_t> design_grids) {
-  return replacement_with(
-      module_space, design_space,
-      replacement_matrix(module_space, design_space, design_grids));
-}
-
-InstanceRemapper InstanceRemapper::replacement_with(
-    const variation::VariationSpace& module_space,
-    const variation::VariationSpace& design_space, linalg::Matrix r) {
   InstanceRemapper out;
   out.module_space_ = &module_space;
   out.design_space_ = &design_space;
-  out.r_ = std::move(r);
+  out.r_ = replacement_matrix(module_space, design_space, design_grids);
   return out;
 }
 
@@ -134,14 +126,18 @@ void stitch_instance_subgraph(TimingGraph& g, const ModuleInstance& inst,
     out.vertex_map[v] = g.add_vertex(inst.name + "/" + mg.vertex(v).name);
   }
   out.edge_map.assign(mg.num_edge_slots(), timing::kNoEdge);
+  auto unscaled =
+      std::make_shared<timing::FormBank>(mg.num_edge_slots(), g.dim());
   for (EdgeId e = 0; e < mg.num_edge_slots(); ++e) {
     if (!mg.edge_alive(e)) continue;
     const timing::TimingEdge& te = mg.edge(e);
     CanonicalForm d = remap(te.delay);
+    unscaled->store(e, d);
     apply_sigma_scale(sigma_mult, d);
     out.edge_map[e] = g.add_edge(out.vertex_map[te.from],
                                  out.vertex_map[te.to], std::move(d));
   }
+  out.unscaled = std::move(unscaled);
 }
 
 VertexId StitchedDesign::input_vertex(const HierDesign& design,

@@ -9,9 +9,9 @@
 /// connections become boundary edges, and design ports become dedicated
 /// port vertices. StitchedDesign additionally records full provenance —
 /// which design vertices/edges came from which module vertex/edge of which
-/// instance, and which replacement matrix R produced the coefficients — so
-/// the incremental engine can later restitch exactly one instance, rewire
-/// one connection, or refresh coefficients in place, reproducing the
+/// instance, and each instance edge's remapped delay before sigma scaling —
+/// so the incremental engine can later restitch exactly one instance,
+/// rewire one connection, or refresh coefficients in place, reproducing the
 /// arithmetic of a from-scratch stitch bit for bit.
 
 #pragma once
@@ -26,6 +26,7 @@
 #include "hssta/hier/hier_ssta.hpp"
 #include "hssta/hier/replace.hpp"
 #include "hssta/linalg/matrix.hpp"
+#include "hssta/timing/form_bank.hpp"
 #include "hssta/timing/graph.hpp"
 
 namespace hssta::hier {
@@ -41,12 +42,6 @@ class InstanceRemapper {
       const variation::VariationSpace& module_space,
       const variation::VariationSpace& design_space,
       std::span<const size_t> design_grids);
-
-  /// Replacement mode with a precomputed R (the incremental engine caches
-  /// R per instance and reuses it when only coefficients refresh).
-  [[nodiscard]] static InstanceRemapper replacement_with(
-      const variation::VariationSpace& module_space,
-      const variation::VariationSpace& design_space, linalg::Matrix r);
 
   /// Global-only baseline: copy the spatial block to a private slot range.
   [[nodiscard]] static InstanceRemapper global_only(
@@ -101,7 +96,8 @@ struct InstanceStitch;
 
 /// Stitch one instance's model subgraph into `g`: vertices then edges, in
 /// model slot order, each edge delay remapped and sigma-scaled. Fills
-/// `out.vertex_map`/`out.edge_map`; the caller records R / private_slot.
+/// `out.vertex_map`/`out.edge_map` and gives `out.unscaled` a fresh bank;
+/// the caller records R / private_slot.
 /// Exactly the loop stitch_design runs per instance, shared so the
 /// incremental engine's single-instance restitch reproduces its vertex
 /// naming, edge ordering and arithmetic bit for bit.
@@ -117,6 +113,13 @@ struct InstanceStitch {
   std::vector<timing::VertexId> vertex_map;
   /// Module edge slot -> design edge (kNoEdge for dead slots).
   std::vector<timing::EdgeId> edge_map;
+  /// Module edge slot -> that edge's delay exactly as the remapper returned
+  /// it, before sigma scaling (a zero row for dead slots). A sigma refresh
+  /// rebuilds each edge as its row times the current multipliers, without
+  /// remapping again. Copies of a stitch share the bank; a restitch gives
+  /// its instance a new bank and never writes into an existing one.
+  /// (total_dim + 2) doubles per edge slot.
+  std::shared_ptr<const timing::FormBank> unscaled;
   /// Replacement matrix R of this instance (replacement mode; empty
   /// otherwise).
   linalg::Matrix r;

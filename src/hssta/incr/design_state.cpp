@@ -196,26 +196,17 @@ void DesignState::full_build(const hier::HierDesign& view) {
 
 void DesignState::refresh_coefficients() {
   TimingGraph& g = st_->graph;
-  const bool replacement = opts_.mode == hier::CorrelationMode::kReplacement;
   recompute_sigma_multipliers();
 
-  for (size_t t = 0; t < inputs_.instances.size(); ++t) {
-    const hier::InstanceStitch& st = st_->instances[t];
-    const model::TimingModel& m = *inputs_.instances[t].model;
-    const variation::VariationSpace& mspace = *m.variation().space;
-    const hier::InstanceRemapper remap =
-        replacement
-            ? hier::InstanceRemapper::replacement_with(
-                  mspace, *st_->design_space, st.r)
-            : hier::InstanceRemapper::global_only(mspace, st_->total_dim,
-                                                  num_params(),
-                                                  st.private_slot);
-    const TimingGraph& mg = m.graph();
-    for (EdgeId e = 0; e < mg.num_edge_slots(); ++e) {
-      if (!mg.edge_alive(e)) continue;
-      CanonicalForm d = remap(mg.edge(e).delay);
+  // Each instance edge is its cached unscaled row times the multipliers:
+  // the arithmetic of a from-scratch stitch, whose remap produced the row.
+  for (const hier::InstanceStitch& st : st_->instances) {
+    const timing::FormBank& unscaled = *st.unscaled;
+    for (EdgeId e = 0; e < st.edge_map.size(); ++e) {
+      if (st.edge_map[e] == timing::kNoEdge) continue;
+      CanonicalForm& d = g.edge(st.edge_map[e]).delay;
+      timing::form_copy(d.view(), unscaled.row(e));
       hier::apply_sigma_scale(sigma_mult_, d);
-      g.edge(st.edge_map[e]).delay = std::move(d);
     }
   }
   ++stats_.coefficient_refreshes;
@@ -237,7 +228,8 @@ void DesignState::restitch_instance(const hier::HierDesign& view, size_t t,
 
   // Stitch the (possibly new) model in — the same helper, remapper and
   // sigma scaling the from-scratch stitch uses, so every edge delay comes
-  // out bit-identical.
+  // out bit-identical. The helper gives the instance a new unscaled bank;
+  // copies of this state keep reading the old one.
   const hier::ModuleInstance& inst = view.instances()[t];
   const variation::VariationSpace& mspace = *inst.model->variation().space;
   const hier::InstanceRemapper remap =

@@ -5,11 +5,11 @@
 /// characterized module models make the top-level analysis cheap enough to
 /// repeat; this engine makes *repeating* it cheap too. A DesignState holds
 /// the stitched design-level timing graph together with full provenance
-/// (which vertices/edges came from which ModuleInstance, which replacement
-/// matrix R produced their coefficients) and the propagated arrival state.
-/// The change API — replace_module, move_instance, rewire_connection,
-/// set_parameter_sigma — records the minimal dirty set; analyze() then
-/// recomputes only what the change can reach:
+/// (which vertices/edges came from which ModuleInstance, and each instance
+/// edge's remapped delay before sigma scaling) and the propagated arrival
+/// state. The change API — replace_module, move_instance,
+/// rewire_connection, set_parameter_sigma — records the minimal dirty set;
+/// analyze() then recomputes only what the change can reach:
 ///
 ///  * replace_module with a geometry-compatible variant (same die, grid
 ///    centers, parameters, correlation profile — the usual ECO: same
@@ -19,9 +19,10 @@
 ///    stitched edges untouched;
 ///  * rewire_connection restitches one boundary edge and re-propagates
 ///    downstream of its old and new targets;
-///  * set_parameter_sigma refreshes edge coefficients in place (reusing
-///    the cached R of every instance) and re-propagates, skipping grid and
-///    PCA construction.
+///  * set_parameter_sigma refreshes edge coefficients in place (each
+///    instance edge is its cached unscaled delay times the new per-slot
+///    multipliers; nothing is remapped) and re-propagates, skipping grid
+///    and PCA construction.
 ///
 /// move_instance and geometry-incompatible swaps invalidate the
 /// coefficient layout — a move because the design grid and its PCA follow
@@ -163,8 +164,9 @@ class DesignState {
   void full_build(const hier::HierDesign& view);
   /// Refresh sigma_mult_ from the current options and stitched layout.
   void recompute_sigma_multipliers();
-  /// Rewrite every instance edge with its cached R and the current sigma
-  /// multipliers (a set_parameter_sigma flush).
+  /// Rewrite every instance edge as its cached unscaled delay
+  /// (InstanceStitch::unscaled) times the current sigma multipliers (a
+  /// set_parameter_sigma flush).
   void refresh_coefficients();
   void restitch_instance(const hier::HierDesign& view, size_t t,
                          std::vector<timing::VertexId>& seeds);

@@ -6,8 +6,9 @@
 // the changed design, at 1 / 2 / 4 threads, and reverting the change must
 // reproduce the base analysis bit for bit (the module -> design ->
 // unchanged round trip). Plus each-instance swaps on the campaign star
-// topology, and unit coverage of the engine lifecycle, the full-rebuild
-// fallback, the scenario runner and the sigma config key.
+// topology, sigma refreshes around a restitch and in a restitched clone,
+// and unit coverage of the engine lifecycle, the full-rebuild fallback,
+// the scenario runner and the sigma config key.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -282,6 +283,84 @@ TEST_F(IncrementalDifferential, ChainedChangesFlushInOneAnalyze) {
     st.set_parameter_sigma(ch.sigma_param, ch.sigma_scale);
     st.analyze();  // one flush for all three
     expect_matches(st, ref, "swap+move+sigma");
+  }
+}
+
+/// Analyze a state whose only pending changes are sigma scales: one
+/// in-place coefficient refresh, no full build, and the from-scratch bits.
+void expect_sigma_flush(DesignState& st, const Reference& ref,
+                        const std::string& what) {
+  const incr::IncrementalStats before = st.stats();
+  st.analyze();
+  EXPECT_EQ(st.stats().coefficient_refreshes, before.coefficient_refreshes + 1)
+      << what;
+  EXPECT_EQ(st.stats().full_builds, before.full_builds) << what;
+  expect_matches(st, ref, what);
+}
+
+TEST_F(IncrementalDifferential, SigmaRefreshAfterRestitchMatchesFromScratch) {
+  // A sigma refresh rebuilds every instance edge from the unscaled delays
+  // cached at stitch time. A restitch under a non-unit scale must cache
+  // its new delays unscaled, and must not write into the cache it shares
+  // with copies of the state.
+  const std::vector<flow::Module>& pool = *pool_;
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const testing::DesignSpec spec = testing::make_design_spec(seed, pool);
+    flow::Config cfg = *cfg_;
+    if (seed % 4 == 3) cfg.hier.mode = hier::CorrelationMode::kGlobalOnly;
+    const Changes ch = make_changes(seed, spec, pool);
+    const size_t p = ch.sigma_param;
+    const size_t q = (p + 1) % 3;
+    constexpr double kQScale = 0.8;
+
+    using Overrides =
+        std::map<size_t, std::shared_ptr<const model::TimingModel>>;
+    const Overrides swapped{{ch.swap_inst, ch.variant}};
+    auto reference = [&](const Overrides& models, double p_scale,
+                         double q_scale) {
+      flow::Config c = cfg;
+      c.hier.param_sigma_scale.assign(3, 1.0);
+      c.hier.param_sigma_scale[p] = p_scale;
+      c.hier.param_sigma_scale[q] = q_scale;
+      return analyze_reference(testing::build_design(spec, pool, c, models));
+    };
+    const Reference ref_base_p = reference({}, ch.sigma_scale, 1.0);
+    const Reference ref_variant = reference(swapped, 1.0, 1.0);
+    const Reference ref_variant_p = reference(swapped, ch.sigma_scale, 1.0);
+    const Reference ref_variant_pq =
+        reference(swapped, ch.sigma_scale, kQScale);
+
+    const flow::Design d = testing::build_design(spec, pool, cfg);
+    DesignState& st = d.incremental();
+    DesignState a = st;  // analyzed base; shares st's cached delays
+
+    // (a) sigma p, a swap restitched under it, then sigma q on top.
+    st.set_parameter_sigma(p, ch.sigma_scale);
+    expect_sigma_flush(st, ref_base_p, "sigma p");
+    const uint64_t builds = st.stats().full_builds;
+    st.replace_module(ch.swap_inst, ch.variant);
+    st.analyze();
+    EXPECT_EQ(st.stats().full_builds, builds) << "swap rebuilt";
+    expect_matches(st, ref_variant_p, "swap under sigma p");
+    st.set_parameter_sigma(q, kQScale);
+    expect_sigma_flush(st, ref_variant_pq, "sigma q after swap");
+
+    // (b) Unit scales again: every edge is its cached delay unscaled.
+    st.set_parameter_sigma(p, 1.0);
+    st.set_parameter_sigma(q, 1.0);
+    expect_sigma_flush(st, ref_variant, "unit scales after swap");
+
+    // (c) A clone restitches; its source still refreshes from the base
+    // model's delays, the clone from the variant's.
+    DesignState b = a;
+    b.replace_module(ch.swap_inst, ch.variant);
+    b.analyze();
+    expect_matches(b, ref_variant, "clone swap");
+    a.set_parameter_sigma(p, ch.sigma_scale);
+    expect_sigma_flush(a, ref_base_p, "source sigma after clone swap");
+    b.set_parameter_sigma(p, ch.sigma_scale);
+    expect_sigma_flush(b, ref_variant_p, "clone sigma after swap");
   }
 }
 
