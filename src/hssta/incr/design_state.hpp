@@ -146,8 +146,9 @@ class DesignState {
   /// Versioned text format ("hsds 1"), same idioms as the .hstm serializer:
   /// hex-float doubles for bit-exact round trips, strict counts, named
   /// truncation errors, trailing content after 'end' rejected. The save
-  /// captures the *logical* design — inputs (with every model embedded,
-  /// shared models deduplicated) and options, pending changes included —
+  /// captures the *logical* design — inputs (with every model embedded as
+  /// its cached TimingModel::saved_text, models shared by pointer
+  /// deduplicated) and options, pending changes included —
   /// not the derived graphs: a loaded state re-derives everything in its
   /// first analyze() as a deterministic full build, so post-load results
   /// are bit-identical to the saved state's analyze() at any thread count.
@@ -201,13 +202,18 @@ class DesignState {
 /// Stable 64-bit content fingerprint of a timing model: util::Fnv1a over
 /// its serialized (.hstm) text, so two models compare equal exactly when
 /// their saved bytes do — the identity the campaign layer keys swapped-in
-/// variants by (file paths don't matter, content does).
+/// variants by (file paths don't matter, content does). This is the
+/// model's cached TimingModel::saved_fingerprint, computed once for a
+/// model and all its copies.
 [[nodiscard]] uint64_t model_fingerprint(const model::TimingModel& m);
 
 /// Stable 64-bit content fingerprint of a DesignState's logical design:
 /// util::Fnv1a over its serialized ("hsds") text — inputs, embedded
 /// models and analysis options, pending changes included. Two states with
-/// the same fingerprint analyze to bit-identical results.
+/// the same fingerprint analyze to bit-identical results. It hashes the
+/// pieces save() writes, each model's cached text included, without
+/// assembling the text, so its cost is one FNV-1a pass over the saved
+/// bytes.
 [[nodiscard]] uint64_t state_fingerprint(const DesignState& state);
 
 }  // namespace hssta::incr

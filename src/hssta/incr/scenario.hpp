@@ -98,8 +98,10 @@ void apply_change(DesignState& state, const Change& change);
 /// Stable identity of a what-if: util::Fnv1a over the base design's
 /// state_fingerprint() and the structural content of every change (swapped
 /// models hash by model_fingerprint(), i.e. by content, not by pointer or
-/// file path). Campaign shards are named by this value; resume skips a
-/// scenario exactly when its fingerprint already has a shard.
+/// file path; the value is cached in the model, so swapping copies of one
+/// parsed model costs no serialization). Campaign shards are named by
+/// this value; resume skips a scenario exactly when its fingerprint
+/// already has a shard.
 [[nodiscard]] uint64_t scenario_fingerprint(uint64_t base_fingerprint,
                                             std::span<const Change> changes);
 

@@ -8,10 +8,17 @@
 // trailing content, so each model's bytes are framed exactly and parsed
 // from a private substream — and deduplicated by pointer, so the common
 // many-instances-of-one-IP design stores each model once.
+//
+// An embedded model's bytes are its cached .hstm text
+// (TimingModel::saved_text, shared by the model's copies), so saving a
+// state or fingerprinting it never runs a model's hex-float writer again.
+// state_fingerprint hashes the pieces save writes, in order, without
+// assembling the text.
 
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "hssta/incr/design_state.hpp"
@@ -38,34 +45,55 @@ void check_name(const std::string& name, const char* what) {
 /// drive a giant allocation before the read fails.
 constexpr size_t kMaxModelBytes = size_t{1} << 30;
 
-}  // namespace
+/// The "hsds 1" text of a state as pieces, in file order: lines[k], then
+/// models[k] (an embedded model's saved text), for every model, then
+/// lines.back(). DesignState::save writes the pieces and state_fingerprint
+/// hashes them, so the two cannot drift, and neither assembles the whole
+/// text nor runs a model's writer again.
+struct SavedPieces {
+  std::vector<std::string> lines;
+  std::vector<const std::string*> models;
 
-void DesignState::save(std::ostream& os) const {
-  check_name(inputs_.name, "design");
+  template <typename F>
+  void each(F&& f) const {
+    for (size_t k = 0; k < models.size(); ++k) {
+      f(std::string_view(lines[k]));
+      f(std::string_view(*models[k]));
+    }
+    f(std::string_view(lines.back()));
+  }
+};
 
+SavedPieces saved_pieces(const DesignState& state) {
+  const DesignInputs& inputs = state.inputs();
+  const hier::HierOptions& opts = state.options();
+  check_name(inputs.name, "design");
+
+  SavedPieces out;
+  std::ostringstream os;
   os << "hsds 1\n";
-  os << "design " << inputs_.name << '\n';
-  if (inputs_.fixed_die)
-    os << "die fixed " << hexf(inputs_.fixed_die->width) << ' '
-       << hexf(inputs_.fixed_die->height) << '\n';
+  os << "design " << inputs.name << '\n';
+  if (inputs.fixed_die)
+    os << "die fixed " << hexf(inputs.fixed_die->width) << ' '
+       << hexf(inputs.fixed_die->height) << '\n';
   else
     os << "die auto\n";
   os << "mode "
-     << (opts_.mode == hier::CorrelationMode::kReplacement ? "replacement"
-                                                           : "global_only")
+     << (opts.mode == hier::CorrelationMode::kReplacement ? "replacement"
+                                                          : "global_only")
      << '\n';
-  os << "load_aware " << (opts_.load_aware_boundary ? 1 : 0) << '\n';
-  os << "interconnect " << hexf(opts_.interconnect_delay) << '\n';
-  os << "pca " << hexf(opts_.pca.min_explained) << ' '
-     << hexf(opts_.pca.rel_tol) << ' ' << opts_.pca.max_components << '\n';
-  os << "sigma_scale " << opts_.param_sigma_scale.size();
-  for (double s : opts_.param_sigma_scale) os << ' ' << hexf(s);
+  os << "load_aware " << (opts.load_aware_boundary ? 1 : 0) << '\n';
+  os << "interconnect " << hexf(opts.interconnect_delay) << '\n';
+  os << "pca " << hexf(opts.pca.min_explained) << ' '
+     << hexf(opts.pca.rel_tol) << ' ' << opts.pca.max_components << '\n';
+  os << "sigma_scale " << opts.param_sigma_scale.size();
+  for (double s : opts.param_sigma_scale) os << ' ' << hexf(s);
   os << '\n';
 
   // Shared models stored once, referenced by index.
   std::map<const model::TimingModel*, size_t> model_index;
   std::vector<const model::TimingModel*> models;
-  for (const InstanceSpec& inst : inputs_.instances) {
+  for (const InstanceSpec& inst : inputs.instances) {
     HSSTA_REQUIRE(inst.model != nullptr,
                   "instance '" + inst.name + "' has no model to serialize");
     if (model_index.emplace(inst.model.get(), models.size()).second)
@@ -73,29 +101,30 @@ void DesignState::save(std::ostream& os) const {
   }
   os << "models " << models.size() << '\n';
   for (size_t k = 0; k < models.size(); ++k) {
-    std::ostringstream ms;
-    models[k]->save(ms);
-    const std::string bytes = ms.str();
+    const std::string& bytes = models[k]->saved_text();
     // Length-prefixed framing: TimingModel::load consumes a whole stream
     // (and rejects trailing content), so the loader must hand it exactly
     // these bytes in a private substream.
-    os << "model " << k << ' ' << bytes.size() << '\n' << bytes;
+    os << "model " << k << ' ' << bytes.size() << '\n';
+    out.lines.push_back(os.str());
+    out.models.push_back(&bytes);
+    os.str({});
   }
 
-  os << "instances " << inputs_.instances.size() << '\n';
-  for (const InstanceSpec& inst : inputs_.instances) {
+  os << "instances " << inputs.instances.size() << '\n';
+  for (const InstanceSpec& inst : inputs.instances) {
     check_name(inst.name, "instance");
     os << "inst " << inst.name << ' ' << model_index.at(inst.model.get())
        << ' ' << hexf(inst.origin.x) << ' ' << hexf(inst.origin.y) << '\n';
   }
 
-  os << "connections " << inputs_.connections.size() << '\n';
-  for (const hier::Connection& c : inputs_.connections)
+  os << "connections " << inputs.connections.size() << '\n';
+  for (const hier::Connection& c : inputs.connections)
     os << "conn " << c.from_output.instance << ' ' << c.from_output.port
        << ' ' << c.to_input.instance << ' ' << c.to_input.port << '\n';
 
-  os << "pins " << inputs_.primary_inputs.size() << '\n';
-  for (const hier::PrimaryInput& pi : inputs_.primary_inputs) {
+  os << "pins " << inputs.primary_inputs.size() << '\n';
+  for (const hier::PrimaryInput& pi : inputs.primary_inputs) {
     check_name(pi.name, "primary input");
     os << "pin " << pi.name << ' ' << pi.sinks.size();
     for (const hier::PortRef& s : pi.sinks)
@@ -103,14 +132,21 @@ void DesignState::save(std::ostream& os) const {
     os << '\n';
   }
 
-  os << "pouts " << inputs_.primary_outputs.size() << '\n';
-  for (const hier::PrimaryOutput& po : inputs_.primary_outputs) {
+  os << "pouts " << inputs.primary_outputs.size() << '\n';
+  for (const hier::PrimaryOutput& po : inputs.primary_outputs) {
     check_name(po.name, "primary output");
     os << "pout " << po.name << ' ' << po.source.instance << ' '
        << po.source.port << '\n';
   }
   os << "end\n";
+  out.lines.push_back(os.str());
+  return out;
+}
 
+}  // namespace
+
+void DesignState::save(std::ostream& os) const {
+  saved_pieces(*this).each([&os](std::string_view piece) { os << piece; });
   os.flush();
   HSSTA_REQUIRE(os.good(),
                 "design state serialization failed: output stream entered "
@@ -272,15 +308,19 @@ DesignState DesignState::load_file(const std::string& path) {
 }
 
 uint64_t model_fingerprint(const model::TimingModel& m) {
-  std::ostringstream os;
-  m.save(os);
-  return util::Fnv1a().str(os.str()).value();
+  return m.saved_fingerprint();
 }
 
 uint64_t state_fingerprint(const DesignState& state) {
-  std::ostringstream os;
-  state.save(os);
-  return util::Fnv1a().str(os.str()).value();
+  // util::Fnv1a::str of the saved text: its length, then its bytes.
+  const SavedPieces pieces = saved_pieces(state);
+  size_t size = 0;
+  pieces.each([&size](std::string_view piece) { size += piece.size(); });
+  util::Fnv1a h;
+  h.u64(size);
+  pieces.each(
+      [&h](std::string_view piece) { h.bytes(piece.data(), piece.size()); });
+  return h.value();
 }
 
 }  // namespace hssta::incr

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "hssta/util/error.hpp"
+#include "hssta/util/hash.hpp"
 #include "hssta/util/token_reader.hpp"
 
 namespace hssta::model {
@@ -116,6 +117,7 @@ void TimingModel::set_sequential(
                       ": delay dimension does not match the model");
   registers_ = std::move(registers);
   constraints_ = std::move(constraints);
+  saved_ = std::make_shared<Saved>();
 }
 
 void TimingModel::save(std::ostream& os) const {
@@ -212,6 +214,24 @@ void TimingModel::save(std::ostream& os) const {
   HSSTA_REQUIRE(os.good(),
                 "model serialization failed: output stream entered an error "
                 "state (disk full or sink closed?)");
+}
+
+const TimingModel::Saved& TimingModel::saved() const {
+  HSSTA_REQUIRE(saved_ != nullptr, "a moved-from model has no saved text");
+  Saved& s = *saved_;
+  std::call_once(s.once, [&] {
+    std::ostringstream os;
+    save(os);
+    s.text = std::move(os).str();
+    s.fingerprint = util::Fnv1a().str(s.text).value();
+  });
+  return s;
+}
+
+const std::string& TimingModel::saved_text() const { return saved().text; }
+
+uint64_t TimingModel::saved_fingerprint() const {
+  return saved().fingerprint;
 }
 
 void TimingModel::save_file(const std::string& path) const {

@@ -21,10 +21,18 @@
 /// gates. Files with that data carry version "hstm 2" and append optional
 /// `registers`/`constraints` blocks; "hstm 1" files (and models without
 /// sequential data, which still save as version 1) load unchanged.
+///
+/// A model keeps the text save() writes, computed on first use by
+/// saved_text() and shared by every copy, so saved sessions and content
+/// fingerprints (incr/serialize.cpp) never run the hex-float writer twice
+/// for one parsed model.
 
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -77,7 +85,14 @@ class TimingModel {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const timing::TimingGraph& graph() const { return graph_; }
-  [[nodiscard]] timing::TimingGraph& graph() { return graph_; }
+  /// Mutable access drops the saved text (the model gets a fresh record).
+  /// Do not mutate through the returned reference after a later copy,
+  /// saved_text() or fingerprint of this model: the copy or the text
+  /// would not see the change.
+  [[nodiscard]] timing::TimingGraph& graph() {
+    saved_ = std::make_shared<Saved>();
+    return graph_;
+  }
   [[nodiscard]] const variation::ModuleVariation& variation() const {
     return variation_;
   }
@@ -113,18 +128,42 @@ class TimingModel {
 
   /// --- serialization ------------------------------------------------------
 
+  /// Stream the .hstm text (it does not fill or read the saved text).
   void save(std::ostream& os) const;
   void save_file(const std::string& path) const;
   [[nodiscard]] static TimingModel load(std::istream& is);
   [[nodiscard]] static TimingModel load_file(const std::string& path);
 
+  /// The bytes save() writes, computed by save() on the first call and
+  /// shared by every copy of this model, so all copies return the same
+  /// string object. Thread-safe: concurrent first calls compute it once.
+  /// set_sequential() and the non-const graph() give the model a fresh,
+  /// empty record. A moved-from model has no text (it cannot be saved
+  /// either) until it is assigned to.
+  [[nodiscard]] const std::string& saved_text() const;
+  /// util::Fnv1a().str(saved_text()).value(), computed with the text.
+  [[nodiscard]] uint64_t saved_fingerprint() const;
+
  private:
+  /// The saved text of one model content and its fingerprint, filled on
+  /// first use.
+  struct Saved {
+    std::once_flag once;
+    std::string text;
+    uint64_t fingerprint = 0;
+  };
+
   std::string name_;
   timing::TimingGraph graph_;
   variation::ModuleVariation variation_;
   BoundaryData boundary_;
   std::vector<ModelRegister> registers_;
   std::vector<SequentialConstraint> constraints_;
+  /// The record of the current content: copies share it, mutators replace
+  /// it, a moved-from model holds none until it is assigned or mutated.
+  std::shared_ptr<Saved> saved_ = std::make_shared<Saved>();
+
+  [[nodiscard]] const Saved& saved() const;
 };
 
 }  // namespace hssta::model

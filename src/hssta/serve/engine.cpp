@@ -332,17 +332,20 @@ void Engine::apply_changes(incr::DesignState& state,
 incr::Change Engine::resolve(const ChangeSpec& spec) {
   if (spec.op != ChangeSpec::Op::kSwap)
     return resolve_change(spec, opts_.config);
-  return incr::ReplaceModule{spec.inst, variant_model(spec.file)};
-}
-
-std::shared_ptr<const model::TimingModel> Engine::variant_model(
-    const std::string& file) {
   // Anything but .hstm content loads as in a one-shot run, so a netlist
   // variant and every unreadable or empty path keep that path's result
-  // and error text. A .hstm parses from the bytes just read: no second
-  // read can see a different file.
+  // and error text.
+  std::shared_ptr<const model::TimingModel> model = table_model(spec.file);
+  if (!model) model = flow::load_variant_model(spec.file, opts_.config);
+  return incr::ReplaceModule{spec.inst, std::move(model)};
+}
+
+std::shared_ptr<const model::TimingModel> Engine::table_model(
+    const std::string& file) {
+  // A .hstm parses from the bytes just read: no second read can see a
+  // different file.
   const std::optional<std::string> bytes = hstm_bytes(file);
-  if (!bytes) return flow::load_variant_model(file, opts_.config);
+  if (!bytes) return nullptr;
 
   std::shared_ptr<const model::TimingModel> parsed;
   {
@@ -370,7 +373,7 @@ std::shared_ptr<const model::TimingModel> Engine::variant_model(
       entry = ParsedModel{*bytes, parsed};
   }
   // The copy owns a reference to the parsed model, which lives as long as
-  // any of its copies does.
+  // any of its copies does. Copies share the parsed model's saved text.
   return std::shared_ptr<const model::TimingModel>(
       new model::TimingModel(*parsed),
       [parsed](const model::TimingModel* copy) { delete copy; });
@@ -404,9 +407,23 @@ void Engine::handle_load_design(const Request& req, util::JsonWriter& w) {
   // request at a time, so no two loads race anyway). A file that does not
   // open or parse, or modules that do not chain, are the client's error.
   WallTimer timer;
+  // Each .hstm resolves through the model table, so identical files parse
+  // once; every instance still gets its own copy, named u<index> as
+  // build_chain_design names it. Netlists and unreadable paths stay on
+  // build_chain_design's own path.
+  flow::ChainOverrides table;
+  try {
+    for (size_t i = 0; i < req.files.size(); ++i)
+      if (auto copy = table_model(req.files[i]))
+        table.models[i] = std::move(copy);
+  } catch (const std::exception&) {
+    // A .hstm that does not parse is left to build_chain_design, which
+    // reports the first failing file in file order.
+  }
   flow::Design built = [&] {
     try {
-      return flow::build_chain_design(req.name, req.files, opts_.config);
+      return flow::build_chain_design(req.name, req.files, opts_.config,
+                                      table);
     } catch (const std::exception& e) {
       refuse(kBadRequest, e.what());
     }

@@ -12,20 +12,27 @@
 /// re-propagates only the dirty cone, exactly like `hssta_cli eco`, and
 /// returns bit-identical numbers.
 ///
-/// Swaps resolve through a model table. Every swap (in eco, analyze or a
-/// sweep scenario) reads its variant file, because the file may have
-/// changed since the last request. The format is decided on a bounded
-/// prefix: anything but a .hstm model (a netlist variant, an unreadable
-/// or endless path) loads through flow::load_variant_model as in a
-/// one-shot run, errors included. A .hstm is read on to end of file, and
-/// the table compares its bytes with the ones it last parsed from that
-/// path and parses again only when they differ or no session holds that
-/// model any more. Each resolution gets a private copy of the parsed
-/// model, never the shared object: a saved session embeds one model per
-/// distinct pointer and the hierarchical checks attribute findings by
-/// pointer, so sharing would change saved bytes and fingerprints. A copy
-/// keeps its parsed model alive, and a table entry lives exactly as long
-/// as some session or sweep holds one of its copies.
+/// Swaps and load_design resolve .hstm files through a model table. Every
+/// swap (in eco, analyze or a sweep scenario) reads its variant file,
+/// because the file may have changed since the last request. The format
+/// is decided on a bounded prefix: anything but a .hstm model (a netlist
+/// variant, an unreadable or endless path) loads through
+/// flow::load_variant_model as in a one-shot run, errors included. A .hstm
+/// is read on to end of file, and the table compares its bytes with the
+/// ones it last parsed from that path and parses again only when they
+/// differ or nothing holds that model any more. load_design resolves each
+/// of its .hstm files the same way and passes the copies to
+/// flow::build_chain_design as ChainOverrides models, so a design of N
+/// identical files parses one; its netlists and unreadable paths take
+/// build_chain_design's own path. Each resolution gets a private copy of
+/// the parsed model, never the shared object: a saved session embeds one
+/// model per distinct pointer and the hierarchical checks attribute
+/// findings by pointer, so sharing would change saved bytes and
+/// fingerprints. The copies share the parsed model's saved text
+/// (model::TimingModel::saved_text), so a sweep's fingerprints serialize
+/// each parsed model at most once. A copy keeps its parsed model alive,
+/// and a table entry lives exactly as long as a loaded design, a session
+/// or a running sweep holds one of its copies.
 ///
 /// Concurrency runs on per-session lanes. A session verb's lane is its
 /// session id; every other verb shares one control lane.
@@ -178,8 +185,9 @@ class Engine {
     kEcos,
     kAnalyzes,
     kSweeps,
-    kModelsParsed,  ///< a swap parsed its .hstm: no live entry held its bytes
-    kModelsReused,  ///< a swap reused a parsed model
+    kModelsParsed,  ///< a .hstm parsed (swap or load_design): no live
+                    ///< entry held its bytes
+    kModelsReused,  ///< a swap or load_design reused a parsed model
     kNumCounters
   };
 
@@ -234,11 +242,13 @@ class Engine {
   void apply_changes(incr::DesignState& state,
                      const std::vector<ChangeSpec>& specs);
   /// The engine change of `spec`: a swap gets a copy of its variant model
-  /// from the model table, any other change is resolve_change's.
+  /// from the model table (flow::load_variant_model's for anything but
+  /// .hstm content), any other change is resolve_change's.
   [[nodiscard]] incr::Change resolve(const ChangeSpec& spec);
-  /// A private copy of the model in variant file `file`, parsed only when
-  /// no live table entry holds the file's current bytes.
-  [[nodiscard]] std::shared_ptr<const model::TimingModel> variant_model(
+  /// A private copy of the .hstm model in `file`, parsed only when no live
+  /// table entry holds the file's current bytes; null when `file` does not
+  /// hold .hstm content (unreadable paths included). Reads the file once.
+  [[nodiscard]] std::shared_ptr<const model::TimingModel> table_model(
       const std::string& file);
   /// Publish `state` as a new session, or refuse "saturated". Writes the
   /// session id, its design, `file` when given and its delay first: once
@@ -268,8 +278,9 @@ class Engine {
   std::set<uint64_t> evicted_ids_;
   uint64_t next_session_ = 1;
 
-  /// A variant .hstm as last parsed: its bytes and the model parsed from
-  /// them, alive while some copy of it is.
+  /// A .hstm as last parsed: its bytes and the model parsed from them,
+  /// alive while some copy of it is (in a loaded design, a session or a
+  /// running sweep).
   struct ParsedModel {
     std::string bytes;
     std::weak_ptr<const model::TimingModel> model;

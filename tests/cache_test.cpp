@@ -17,6 +17,7 @@
 
 #include "hssta/cache/model_cache.hpp"
 #include "hssta/flow/flow.hpp"
+#include "hssta/incr/design_state.hpp"
 #include "hssta/netlist/bench_io.hpp"
 #include "hssta/util/error.hpp"
 #include "hssta/util/hash.hpp"
@@ -146,6 +147,84 @@ TEST(Fingerprint, LibraryKeyTracksCellParameters) {
   extra.intrinsic = {0.5};
   tweaked.add(std::move(extra));
   EXPECT_NE(fp, library::fingerprint(tweaked));
+}
+
+TEST(Fingerprint, ModelTextIsTheSavedBytesSharedByCopies) {
+  const auto streamed = [](const model::TimingModel& m) {
+    std::ostringstream os;
+    m.save(os);
+    return os.str();
+  };
+  const flow::Module comb = flow::Module::from_bench_string(
+      "INPUT(a)\nINPUT(b)\nOUTPUT(x)\nOUTPUT(y)\n"
+      "g = NAND(a, b)\nx = AND(g, a)\ny = OR(g, b)\n");
+  const flow::Module seq =
+      flow::Module::from_file(std::string(HSSTA_TESTDATA_DIR) + "/s27.bench");
+  for (const flow::Module* module : {&comb, &seq}) {
+    const model::TimingModel& m = module->model();
+    SCOPED_TRACE(m.name());
+    const std::string text = streamed(m);
+    const uint64_t fp = util::Fnv1a().str(text).value();
+    EXPECT_EQ(text.substr(0, 7), m.is_sequential() ? "hstm 2\n" : "hstm 1\n");
+    EXPECT_EQ(incr::model_fingerprint(m), fp);
+    EXPECT_EQ(m.saved_text(), text);
+
+    // Copies (constructed or assigned) share the one text object.
+    const model::TimingModel copy = m;
+    model::TimingModel assigned = comb.model();
+    assigned = m;
+    EXPECT_EQ(&copy.saved_text(), &m.saved_text());
+    EXPECT_EQ(&assigned.saved_text(), &m.saved_text());
+    EXPECT_EQ(incr::model_fingerprint(copy), fp);
+
+    // A mutated copy gets its own text; the original keeps its own.
+    model::TimingModel sequential = m;
+    std::vector<model::ModelRegister> registers = m.registers();
+    registers.push_back({"extra", m.input_names()[0], m.output_names()[0],
+                         "", 0});
+    sequential.set_sequential(std::move(registers), m.constraints());
+    EXPECT_NE(incr::model_fingerprint(sequential), fp);
+    EXPECT_EQ(sequential.saved_text(), streamed(sequential));
+
+    model::TimingModel edited = m;
+    timing::TimingGraph& g = edited.graph();
+    timing::EdgeId e = 0;
+    while (!g.edge_alive(e)) ++e;
+    g.edge(e).delay.set_nominal(g.edge(e).delay.nominal() + 1.0);
+    EXPECT_NE(incr::model_fingerprint(edited), fp);
+    EXPECT_EQ(edited.saved_text(), streamed(edited));
+
+    EXPECT_EQ(incr::model_fingerprint(m), fp);
+    EXPECT_EQ(&copy.saved_text(), &m.saved_text());
+    EXPECT_EQ(m.saved_text(), text);
+
+    // A moved-from model is usable again once assigned to.
+    model::TimingModel moved = copy;
+    const model::TimingModel target = std::move(moved);
+    EXPECT_EQ(&target.saved_text(), &m.saved_text());
+    EXPECT_THROW((void)moved.saved_text(), Error);
+    moved = m;
+    EXPECT_EQ(&moved.saved_text(), &m.saved_text());
+
+    // Concurrent first calls on a fresh model compute one text.
+    std::istringstream is(text);
+    const model::TimingModel fresh = model::TimingModel::load(is);
+    constexpr size_t kThreads = 8;
+    std::vector<uint64_t> fps(kThreads);
+    std::vector<const std::string*> texts(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t)
+      threads.emplace_back([&fresh, &fps, &texts, t] {
+        fps[t] = incr::model_fingerprint(fresh);
+        texts[t] = &fresh.saved_text();
+      });
+    for (std::thread& t : threads) t.join();
+    for (size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(fps[t], fp);
+      EXPECT_EQ(texts[t], texts[0]);
+    }
+    EXPECT_EQ(*texts[0], text);
+  }
 }
 
 TEST_F(CacheTest, ModelCacheStoreLoadRoundTrip) {

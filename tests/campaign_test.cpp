@@ -273,6 +273,93 @@ TEST_F(FingerprintTest, RunnerStampsTheCampaignJoinKey) {
       << json;
 }
 
+TEST_F(FingerprintTest, ValuesArePinned) {
+  // Fingerprints name campaign shards and join sweep reports across runs
+  // and builds, so they must not move when the way states and models are
+  // saved or hashed changes. The models extract in-process: a libm that
+  // rounds a transcendental differently moves these values too.
+  const flow::Config cfg;
+  const std::string s27 = std::string(HSSTA_TESTDATA_DIR) + "/s27.bench";
+  flow::Module::from_file(file("a.bench"), cfg).model().save_file(
+      file("a.hstm"));
+  flow::Module::from_file(file("b.bench"), cfg).model().save_file(
+      file("b.hstm"));
+  flow::Module::from_file(s27, cfg).model().save_file(file("s27.hstm"));
+  const auto c = flow::load_variant_model(file("c.bench"), cfg);
+  const auto seq = flow::load_variant_model(file("s27.hstm"), cfg);
+  ASSERT_TRUE(seq->is_sequential());
+
+  struct Pinned {
+    const char* state;
+    const char* sigma;
+    const char* swap;
+    const char* sigma_swap;
+  };
+  const auto expect_pinned =
+      [&](const incr::DesignState& st,
+          const std::shared_ptr<const model::TimingModel>& variant,
+          const Pinned& want) {
+        const uint64_t fp = incr::state_fingerprint(st);
+        const incr::Change sigma = incr::SigmaScale{0, 1.2};
+        const incr::Change swap = incr::ReplaceModule{1, variant};
+        const auto scenario = [fp](std::vector<incr::Change> changes) {
+          return util::Fnv1a::hex(incr::scenario_fingerprint(fp, changes));
+        };
+        EXPECT_EQ(util::Fnv1a::hex(fp), want.state);
+        EXPECT_EQ(scenario({sigma}), want.sigma);
+        EXPECT_EQ(scenario({swap}), want.swap);
+        EXPECT_EQ(scenario({sigma, swap}), want.sigma_swap);
+        // The state fingerprint is util::Fnv1a::str of the saved bytes.
+        st.save_file(file("st.hsds"));
+        EXPECT_EQ(fp, util::Fnv1a().str(slurp(file("st.hsds"))).value());
+      };
+
+  {
+    SCOPED_TRACE("chain from .bench");
+    const flow::Design base = make_chain();
+    incr::DesignState& st = base.incremental();
+    (void)st.analyze();
+    expect_pinned(st, c,
+                  {"fdb3b0fe17c695a7", "7e9c2d5b64e9ab4f", "dfe3f23f1168f0bb",
+                   "e2d87d1f7a536eb0"});
+  }
+  {
+    SCOPED_TRACE("chain from .hstm, one swap applied, one change pending");
+    const flow::Design base = flow::build_chain_design(
+        "h", {file("a.hstm"), file("b.hstm")}, cfg);
+    incr::DesignState st = base.incremental();
+    st.replace_module(0, c);
+    (void)st.analyze();
+    st.set_parameter_sigma(1, 1.3);
+    ASSERT_TRUE(st.pending());
+    expect_pinned(st, c,
+                  {"b1fd3738b761fd87", "66bab22da9f3f9a9", "77fb458334bc3e2d",
+                   "5ca4f8f9b704c892"});
+  }
+  {
+    SCOPED_TRACE("chain in global-only mode");
+    flow::Config global = cfg;
+    global.hier.mode = hier::CorrelationMode::kGlobalOnly;
+    const flow::Design base = flow::build_chain_design(
+        "g", {file("a.bench"), file("b.bench")}, global);
+    incr::DesignState& st = base.incremental();
+    (void)st.analyze();
+    expect_pinned(st, c,
+                  {"5e848f1024530d48", "e44c2c17664856d9", "6a776f0bd704f53d",
+                   "f1a96467d6d8b322"});
+  }
+  {
+    SCOPED_TRACE("chain embedding s27's hstm 2 model");
+    const flow::Design base = flow::build_chain_design(
+        "s", {file("s27.hstm"), file("s27.hstm")}, cfg);
+    incr::DesignState& st = base.incremental();
+    (void)st.analyze();
+    expect_pinned(st, seq,
+                  {"b322bd57ef0ddd13", "3e4e457c6d1822e5", "fe7afef459caee8d",
+                   "244b52fd879b9e6a"});
+  }
+}
+
 // --- campaign spec ----------------------------------------------------------
 
 using SpecTest = CampaignTest;

@@ -661,6 +661,58 @@ TEST_F(ServeTest, ModelTableForgetsModelsNoSessionHolds) {
   EXPECT_EQ(counter(engine, "models_reused"), 1u);
 }
 
+TEST_F(ServeTest, LoadDesignParsesEachModelFileOnce) {
+  const std::string v = variant_hstm("v.hstm");
+  const std::vector<std::string> files = {v, v, v};
+  const std::string saved = file("s.hsds");
+  serve::Engine engine;
+  ok(engine, R"({"verb":"load_design","name":"h","files":[")" + v +
+                 R"(",")" + v + R"(",")" + v + R"("]})");
+  EXPECT_EQ(counter(engine, "models_parsed"), 1u);
+  EXPECT_EQ(counter(engine, "models_reused"), 2u);
+  ok(engine, R"({"verb":"open_session","design":"h"})");
+  ok(engine, R"({"verb":"save_session","session":1,"file":")" + saved +
+                 R"("})");
+  const JsonValue swept = ok(
+      engine, R"({"verb":"sweep","session":1,"scenarios":[)"
+              R"({"changes":[{"op":"sigma","param":0,"scale":1.2}]}]})");
+
+  // The one-shot build loads each file separately: the saved session and
+  // the sweep's fingerprint must not tell the two apart.
+  const flow::Design ref = flow::build_chain_design("h", files, {});
+  (void)ref.analyze_incremental();
+  std::ostringstream want, got;
+  ref.incremental().save(want);
+  got << std::ifstream(saved, std::ios::binary).rdbuf();
+  EXPECT_EQ(got.str(), want.str());
+  const std::vector<incr::Change> sigma = {incr::SigmaScale{0, 1.2}};
+  const uint64_t fingerprint = incr::scenario_fingerprint(
+      incr::state_fingerprint(ref.incremental()), sigma);
+  const std::vector<JsonValue>& scenarios = swept.at("scenarios").items();
+  ASSERT_EQ(scenarios.size(), 1u);
+  EXPECT_EQ(scenarios[0].at("fingerprint").as_string(),
+            util::Fnv1a::hex(fingerprint));
+
+  // The loaded design holds copies of the parsed model, so its table
+  // entry outlives every session.
+  ok(engine, R"({"verb":"close_session","session":1})");
+  ok(engine, R"({"verb":"open_session","design":"h"})");
+  ok(engine, swap_line(2, 0, v));
+  EXPECT_EQ(counter(engine, "models_parsed"), 1u);
+  EXPECT_EQ(counter(engine, "models_reused"), 3u);
+
+  // A netlist beside a .hstm keeps build_chain_design's own path.
+  serve::Engine mixed;
+  const JsonValue loaded =
+      ok(mixed, R"({"verb":"load_design","name":"m","files":[")" +
+                    file("a.bench") + R"(",")" + v + R"("]})");
+  const flow::Design one_shot =
+      flow::build_chain_design("m", {file("a.bench"), v}, {});
+  expect_delay_eq(loaded.at("delay"), one_shot.analyze().delay());
+  EXPECT_EQ(counter(mixed, "models_parsed"), 1u);
+  EXPECT_EQ(counter(mixed, "models_reused"), 0u);
+}
+
 TEST_F(ServeTest, ConcurrentSwapsOfOneVariantAgree) {
   const std::string v = variant_hstm("v.hstm");
   serve::EngineOptions opts;
