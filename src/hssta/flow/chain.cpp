@@ -30,11 +30,30 @@ std::shared_ptr<const model::TimingModel> load_variant_model(
 
 namespace {
 
+/// The .hstm models of one build call: the first instance of a path gets
+/// its parse, each later one its own copy (saved sessions and checks key
+/// models by pointer), sharing the parse's saved text.
+class ModelFiles {
+ public:
+  std::shared_ptr<const model::TimingModel> get(const std::string& file) {
+    const auto it = parsed_.find(file);
+    if (it != parsed_.end())
+      return std::make_shared<const model::TimingModel>(*it->second);
+    auto parsed = std::make_shared<const model::TimingModel>(
+        model::TimingModel::load_file(file));
+    parsed_.emplace(file, parsed);
+    return parsed;
+  }
+
+ private:
+  std::map<std::string, std::shared_ptr<const model::TimingModel>> parsed_;
+};
+
 /// Add instance `idx` from `file` at the default origin (ox, oy), honoring
 /// any model/origin overrides; returns the instance index.
 size_t add_instance_at(Design& design, const std::string& file, size_t idx,
                        double ox, double oy, const Config& cfg,
-                       const ChainOverrides& overrides) {
+                       const ChainOverrides& overrides, ModelFiles& models) {
   const auto model_it = overrides.models.find(idx);
   const auto origin_it = overrides.origins.find(idx);
   if (origin_it != overrides.origins.end()) {
@@ -45,7 +64,7 @@ size_t add_instance_at(Design& design, const std::string& file, size_t idx,
     return design.add_instance(model_it->second, ox, oy);
   if (is_model_file(file)) {
     const std::string index = std::to_string(idx);
-    return design.add_instance_from_model_file(file, ox, oy, "u" + index);
+    return design.add_instance(models.get(file), ox, oy, "u" + index);
   }
   return design.add_instance(Module::from_file(file, cfg), ox, oy);
 }
@@ -87,10 +106,11 @@ Design build_chain_design(const std::string& name,
                           const std::vector<std::string>& files,
                           const Config& cfg, const ChainOverrides& overrides) {
   Design design(name, cfg);
+  ModelFiles models;
   double x = 0.0;
   for (size_t idx = 0; idx < files.size(); ++idx) {
-    const size_t got =
-        add_instance_at(design, files[idx], idx, x, 0.0, cfg, overrides);
+    const size_t got = add_instance_at(design, files[idx], idx, x, 0.0, cfg,
+                                       overrides, models);
     x += design.instance_model(got).die().width;
   }
 
@@ -116,6 +136,7 @@ Design build_star_design(const std::string& name,
   if (files.size() < 2)
     throw Error("star topology needs at least two modules (leaves + hub)");
   Design design(name, cfg);
+  ModelFiles models;
   for (size_t idx = 0; idx < files.size(); ++idx) {
     // 4-wide grid, each instance offset by its own die — identical models
     // tile exactly. Placement needs the die before the add, so the
@@ -124,8 +145,7 @@ Design build_star_design(const std::string& name,
     std::shared_ptr<const model::TimingModel> model;
     std::optional<Module> module;
     if (is_model_file(file))
-      model = std::make_shared<const model::TimingModel>(
-          model::TimingModel::load_file(file));
+      model = models.get(file);
     else
       module.emplace(Module::from_file(file, cfg));
     const placement::Die& die = model ? model->die() : module->model().die();

@@ -44,7 +44,9 @@ struct ChainOverrides {
 /// wrapping over the narrower port list). Boundary ports that the *base*
 /// chain leaves unwired become design primary ports — computed from the
 /// un-rewired connection list, so an ECO'd chain keeps the base port set
-/// (exactly like the incremental engine does).
+/// (exactly like the incremental engine does). Each distinct .hstm path
+/// parses once per call; a repeated path's later instances (named u<index>
+/// like every .hstm instance) get their own copies of that parse.
 [[nodiscard]] Design build_chain_design(const std::string& name,
                                         const std::vector<std::string>& files,
                                         const Config& cfg,
@@ -55,8 +57,8 @@ struct ChainOverrides {
 /// 4-wide grid by their own die size, the last instance the combiner,
 /// every combiner input k driven round-robin by leaf `k % (N-1)`'s output
 /// `k % no`, and the unwired boundary ports exposed as primary ports.
-/// Needs at least two files. A changed star is built from its changed
-/// file list.
+/// Needs at least two files; .hstm paths parse once per call, as in
+/// build_chain_design. A changed star is built from its changed file list.
 [[nodiscard]] Design build_star_design(const std::string& name,
                                        const std::vector<std::string>& files,
                                        const Config& cfg);

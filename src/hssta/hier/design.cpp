@@ -1,5 +1,6 @@
 #include "hssta/hier/design.hpp"
 
+#include <cmath>
 #include <unordered_set>
 
 #include "hssta/util/error.hpp"
@@ -20,6 +21,8 @@ void HierDesign::validate() const {
 
   for (const ModuleInstance& inst : instances_) {
     const placement::Die& mdie = inst.model->die();
+    HSSTA_REQUIRE(std::isfinite(inst.origin.x) && std::isfinite(inst.origin.y),
+                  "instance origin is not finite: " + inst.name);
     HSSTA_REQUIRE(inst.origin.x >= -1e-9 && inst.origin.y >= -1e-9 &&
                       inst.origin.x + mdie.width <= die_.width + 1e-9 &&
                       inst.origin.y + mdie.height <= die_.height + 1e-9,

@@ -82,9 +82,10 @@ class HierDesign {
     return outputs_;
   }
 
-  /// Structural checks: port references in range, instances on the die,
-  /// every instance input driven at most once, ports exist, at least one
-  /// primary input and output. Throws hssta::Error on violation.
+  /// Structural checks: port references in range, instances at finite
+  /// origins on the die, every instance input driven at most once, ports
+  /// exist, at least one primary input and output. Throws hssta::Error on
+  /// violation.
   void validate() const;
 
  private:

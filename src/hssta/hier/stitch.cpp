@@ -153,7 +153,8 @@ VertexId StitchedDesign::output_vertex(const HierDesign& design,
 }
 
 StitchedDesign stitch_design(const HierDesign& design,
-                             const HierOptions& opts) {
+                             const HierOptions& opts,
+                             DesignSpaceTable* table) {
   design.validate();
 
   StitchedDesign out;
@@ -166,7 +167,8 @@ StitchedDesign stitch_design(const HierDesign& design,
   std::vector<size_t> private_slot(instances.size(), 0);
   std::vector<size_t> private_components(instances.size(), 0);
   if (opts.mode == CorrelationMode::kReplacement) {
-    out.design_space = build_design_space(design, out.grid, opts.pca);
+    out.design_space = table ? table->get(design, out.grid, opts.pca)
+                             : build_design_space(design, out.grid, opts.pca);
     out.total_dim = out.design_space->dim();
   } else {
     // Shared globals followed by per-instance private spatial blocks.

@@ -155,7 +155,14 @@ struct StitchedDesign {
 /// builds the heterogeneous grid and (in replacement mode) the design
 /// space, then stitches instances, connections and ports in a fixed order
 /// — the vertex/edge numbering every from-scratch analysis shares.
+///
+/// With a `table` (an incr::DesignState lineage's), the design space comes
+/// from DesignSpaceTable::get: a layout that a live state of the lineage
+/// already holds reuses that state's space, bit-identical to a fresh PCA.
+/// Null — every from-scratch analysis — builds the space afresh. The
+/// global-only mode builds no design space and never reads the table.
 [[nodiscard]] StitchedDesign stitch_design(const HierDesign& design,
-                                           const HierOptions& opts = {});
+                                           const HierOptions& opts = {},
+                                           DesignSpaceTable* table = nullptr);
 
 }  // namespace hssta::hier

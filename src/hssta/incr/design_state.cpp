@@ -189,7 +189,7 @@ void DesignState::recompute_sigma_multipliers() {
 }
 
 void DesignState::full_build(const hier::HierDesign& view) {
-  st_ = hier::stitch_design(view, opts_);
+  st_ = hier::stitch_design(view, opts_, spaces_.get());
   recompute_sigma_multipliers();
   ++stats_.full_builds;
 }

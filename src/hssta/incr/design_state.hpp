@@ -29,7 +29,8 @@
 /// the placement (the PCA dimension nearly always shifts). In both
 /// correlation modes such a flush runs the full stitch of a from-scratch
 /// analysis (hier::stitch_design) — still through analyze(), just not
-/// incremental (counted in stats().full_builds).
+/// incremental (counted in stats().full_builds). Its design PCA comes from
+/// the lineage's table when a sibling state holds an equal layout (below).
 ///
 /// Contract: after any sequence of changes, analyze() returns results
 /// bit-identical to a from-scratch flow::Design / analyze_hierarchical run
@@ -42,6 +43,15 @@
 ///
 /// A DesignState is copyable; incr::ScenarioRunner clones the analyzed
 /// base per scenario so batched what-ifs share the clean prefix state.
+///
+/// Lineage: the constructor and load() start a lineage with its own
+/// hier::DesignSpaceTable, and every copy of a state (a served session
+/// opened from a loaded design, a ScenarioRunner clone) shares it. A full
+/// build whose layout a live state of the lineage already holds reuses
+/// that state's design space — no PCA, every bit the same — so
+/// design_space() may return a space shared with sibling states. The
+/// table holds its spaces weakly; states built separately, or loaded from
+/// a saved session, never share.
 /// MaxDiagnostics counters are not maintained incrementally (arrivals()
 /// reports zeroed diagnostics after an incremental step).
 
@@ -133,6 +143,8 @@ class DesignState {
   /// unreached.
   [[nodiscard]] std::optional<timing::CanonicalForm> arrival(
       const std::string& name) const;
+  /// The design-level space (null in global-only mode); states of one
+  /// lineage at one layout share it.
   [[nodiscard]] std::shared_ptr<const variation::VariationSpace> design_space()
       const;
   [[nodiscard]] const hier::DesignGrid& grid() const;
@@ -179,6 +191,9 @@ class DesignState {
 
   DesignInputs inputs_;
   hier::HierOptions opts_;
+  /// The lineage's design spaces, shared by every copy of this state.
+  std::shared_ptr<hier::DesignSpaceTable> spaces_ =
+      std::make_shared<hier::DesignSpaceTable>();
 
   /// --- derived state -----------------------------------------------------
   std::optional<hier::StitchedDesign> st_;

@@ -10,9 +10,11 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "fixtures.hpp"
 #include "hssta/core/io_delays.hpp"
+#include "hssta/flow/chain.hpp"
 #include "hssta/flow/flow.hpp"
 #include "hssta/hier/hier_ssta.hpp"
 #include "hssta/mc/hier_mc.hpp"
@@ -217,6 +219,34 @@ TEST(FlowDesign, SaveLoadAnalyzeEquality) {
   EXPECT_FALSE(loaded.can_monte_carlo());
   EXPECT_THROW((void)loaded.monte_carlo(McOptions{10, 1}), Error);
 
+  std::remove(path.c_str());
+}
+
+TEST(FlowDesign, RepeatedModelFilesParseOncePerBuild) {
+  // A chain or star of one .hstm parses it once: every instance still gets
+  // its own model object (saved sessions and checks key models by
+  // pointer), and all of them share the one parse's saved text.
+  const Module m = small_module(93);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hssta_flow_once.hstm")
+          .string();
+  m.model().save_file(path);
+  const std::vector<std::string> files(3, path);
+  for (const bool star : {false, true}) {
+    SCOPED_TRACE(star ? "star" : "chain");
+    const Design d = star ? build_star_design("s", files, Config{})
+                          : build_chain_design("c", files, Config{});
+    ASSERT_EQ(d.num_instances(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+      const std::string index = std::to_string(i);
+      EXPECT_EQ(d.instance_name(i), "u" + index);
+      for (size_t j = 0; j < i; ++j) {
+        EXPECT_NE(&d.instance_model(i), &d.instance_model(j));
+        EXPECT_EQ(&d.instance_model(i).saved_text(),
+                  &d.instance_model(j).saved_text());
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 

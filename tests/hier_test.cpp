@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "hssta/hier/design.hpp"
 #include "hssta/hier/design_grid.hpp"
@@ -114,6 +116,47 @@ TEST_F(HierFixture, DesignValidationCatchesMistakes) {
   off.add_primary_input({"i", {PortRef{0, 0}}});
   off.add_primary_output({"o", PortRef{0, 0}});
   EXPECT_THROW(off.validate(), Error);
+}
+
+TEST_F(HierFixture, FarPlacementsFailWithANamedError) {
+  // An instance moved far off stretches the bounding-box die, and the
+  // filler grid with it: the design grid would need an n x n correlation
+  // matrix and an O(n^3) PCA. The grid count is checked before any cast
+  // or allocation; a non-finite origin fails validation. (UBSan does not
+  // check float-to-integer casts, so the errors themselves are asserted.)
+  const placement::Die mdie = model().die();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double far : {1e5, 1e18, 1e300, inf}) {
+    SCOPED_TRACE(far);
+    HierDesign d("far", placement::Die{far + mdie.width, mdie.height});
+    d.add_instance({"a", &model(), {0, 0}, nullptr, nullptr});
+    d.add_instance({"b", &model(), {far, 0}, nullptr, nullptr});
+    const size_t ni = model().graph().inputs().size();
+    const size_t no = model().graph().outputs().size();
+    for (size_t k = 0; k < ni; ++k) {
+      d.add_connection({PortRef{0, k % no}, PortRef{1, k}});
+      const std::string index = std::to_string(k);
+      d.add_primary_input({"p" + index, {PortRef{0, k}}});
+    }
+    d.add_primary_output({"q", PortRef{1, 0}});
+    const std::string expected =
+        std::isfinite(far)
+            ? "above the limit of " + std::to_string(kMaxDesignGrids) +
+                  " (hier::kMaxDesignGrids)"
+            : std::string("instance origin is not finite: b");
+    for (const CorrelationMode mode :
+         {CorrelationMode::kReplacement, CorrelationMode::kGlobalOnly}) {
+      HierOptions opts;
+      opts.mode = mode;
+      try {
+        (void)analyze_hierarchical(d, opts);
+        ADD_FAILURE() << "no error";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST_F(HierFixture, DesignGridComposesModuleGridsPlusFiller) {

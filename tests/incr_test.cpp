@@ -7,8 +7,9 @@
 // reproduce the base analysis bit for bit (the module -> design ->
 // unchanged round trip). Plus each-instance swaps on the campaign star
 // topology, sigma refreshes around a restitch and in a restitched clone,
-// and unit coverage of the engine lifecycle, the full-rebuild fallback,
-// the scenario runner and the sigma config key.
+// design-space sharing between copies of one state, and unit coverage of
+// the engine lifecycle, the full-rebuild fallback, the scenario runner and
+// the sigma config key.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -18,7 +19,9 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hssta/flow/chain.hpp"
@@ -634,6 +637,124 @@ TEST_F(IncrementalDifferential, LifecycleAndNoOpChanges) {
                                                                *cfg_)),
                    "recovered");
   }
+}
+
+/// A variant of a model whose module space has parameter 0's sigma_rel
+/// scaled by `factor`: same graph, die and grid partition, but a different
+/// parameter set, so a design built from it has a different design space.
+std::shared_ptr<const model::TimingModel> sigma_variant(
+    const model::TimingModel& base, double factor) {
+  const variation::VariationSpace& s = *base.variation().space;
+  variation::ParameterSet params = s.parameters();
+  params.params[0].sigma_rel *= factor;
+  variation::ModuleVariation mv{
+      base.variation().partition,
+      std::make_shared<const variation::VariationSpace>(
+          params, s.grids(), s.correlation_model().config())};
+  return std::make_shared<const model::TimingModel>(
+      base.name() + "_sigma", base.graph(), std::move(mv), base.boundary());
+}
+
+TEST_F(IncrementalDifferential, MovesShareALiveDesignSpaceWithinALineage) {
+  // Copies of one state form a lineage with one design-space table: a
+  // move to a layout that a live state of the lineage holds reuses its
+  // design space (no PCA), bit-identical to a from-scratch build. The
+  // table holds spaces weakly; separately built and loaded states, and
+  // layouts that differ in any input of the PCA, get their own space.
+  const std::vector<flow::Module>& pool = *pool_;
+  const uint64_t seed = 2;
+  const testing::DesignSpec spec = testing::make_design_spec(seed, pool);
+  const Changes ch = make_changes(seed, spec, pool);
+  const size_t t = ch.move_inst;
+  const double x1 = ch.move_x, y1 = ch.move_y;
+  auto placed = [&](double x, double y) {
+    testing::DesignSpec moved = spec;
+    moved.instances[t].x = x;
+    moved.instances[t].y = y;
+    return moved;
+  };
+  const Reference ref_l1 =
+      analyze_reference(testing::build_design(placed(x1, y1), pool, *cfg_));
+
+  const flow::Design d = testing::build_design(spec, pool, *cfg_);
+  const DesignState& a = d.incremental();  // analyzed base of the lineage
+  ASSERT_NE(a.design_space(), nullptr);
+  auto moved_copy = [&](double x, double y) {
+    DesignState s = a;
+    s.move_instance(t, x, y);
+    s.analyze();
+    return s;
+  };
+
+  std::weak_ptr<const variation::VariationSpace> l1_space;
+  {
+    const DesignState b = moved_copy(x1, y1);
+    DesignState c = a;
+    const uint64_t builds = c.stats().full_builds;
+    c.move_instance(t, x1, y1);
+    c.analyze();
+    EXPECT_EQ(c.stats().full_builds, builds + 1);
+    EXPECT_EQ(c.design_space().get(), b.design_space().get());
+    expect_matches(c, ref_l1, "move to a live layout");
+
+    // The same layout but for the grid centers' y: its own space.
+    const double y2 = y1 + 0.5;
+    const DesignState e = moved_copy(x1, y2);
+    ASSERT_EQ(e.grid().geometry.size(), b.grid().geometry.size());
+    for (size_t g = 0; g < e.grid().geometry.size(); ++g)
+      ASSERT_EQ(e.grid().geometry.centers[g].x,
+                b.grid().geometry.centers[g].x);
+    EXPECT_NE(e.design_space().get(), b.design_space().get());
+    expect_matches(
+        e, analyze_reference(testing::build_design(placed(x1, y2), pool,
+                                                   *cfg_)),
+        "move to a layout differing in y");
+
+    // Other lineages never share, even while B holds the layout.
+    DesignState fresh(a.inputs(), a.options());
+    fresh.move_instance(t, x1, y1);
+    fresh.analyze();
+    EXPECT_NE(fresh.design_space().get(), b.design_space().get());
+    expect_matches(fresh, ref_l1, "separately built state");
+    std::stringstream saved;
+    a.save(saved);
+    DesignState loaded = DesignState::load(saved);
+    loaded.move_instance(t, x1, y1);
+    loaded.analyze();
+    EXPECT_NE(loaded.design_space().get(), b.design_space().get());
+    expect_matches(loaded, ref_l1, "loaded state");
+
+    // Other parameters at the same layout: a full rebuild, its own space.
+    std::map<size_t, std::shared_ptr<const model::TimingModel>> variants;
+    DesignState f = b;
+    const uint64_t f_builds = f.stats().full_builds;
+    for (size_t i = 0; i < spec.instances.size(); ++i) {
+      variants[i] = sigma_variant(*f.inputs().instances[i].model, 1.5);
+      f.replace_module(i, variants[i]);
+    }
+    f.analyze();
+    EXPECT_EQ(f.stats().full_builds, f_builds + 1);
+    EXPECT_NE(f.design_space().get(), b.design_space().get());
+    expect_matches(f,
+                   analyze_reference(testing::build_design(
+                       placed(x1, y1), pool, *cfg_, variants)),
+                   "other sigma_rel at a live layout");
+    l1_space = b.design_space();
+  }
+  // The table kept nothing alive; a later move builds the space again.
+  EXPECT_TRUE(l1_space.expired());
+  expect_matches(moved_copy(x1, y1), ref_l1, "move after the space expired");
+
+  // Concurrent moves of copies to one layout: hits, misses and racing
+  // inserts all give the from-scratch bits.
+  constexpr size_t kThreads = 8;
+  std::vector<CanonicalForm> delays(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] { delays[i] = moved_copy(x1, y1).delay(); });
+  for (std::thread& th : threads) th.join();
+  for (size_t i = 0; i < kThreads; ++i)
+    EXPECT_TRUE(delays[i] == ref_l1.delay) << "thread " << i;
 }
 
 TEST(ScenarioProvenance, DescribesChangesAndStampsFailedResults) {

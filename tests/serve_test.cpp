@@ -36,6 +36,7 @@
 #include "hssta/flow/chain.hpp"
 #include "hssta/flow/design.hpp"
 #include "hssta/flow/module.hpp"
+#include "hssta/hier/design_grid.hpp"
 #include "hssta/netlist/bench_io.hpp"
 #include "hssta/netlist/iscas.hpp"
 #include "hssta/serve/client.hpp"
@@ -555,6 +556,32 @@ TEST_F(ServeTest, InvalidChangeLeavesSessionUsable) {
        serve::kInvalidChange);
   const JsonValue analyzed = ok(engine, R"({"verb":"analyze","session":1})");
   expect_delay_eq(analyzed.at("delay"), reference_delay());
+}
+
+TEST_F(ServeTest, FarMoveIsAnInvalidChangeNamingTheGridLimit) {
+  // A move to x = 1e18 stretches the die past any design grid the engine
+  // will build: refused before any allocation, naming the limit, and the
+  // session keeps its state. Moving back analyzes the pre-move design.
+  serve::Engine engine;
+  ok(engine, load_line());
+  ok(engine, R"({"verb":"open_session","design":"d"})");
+  const JsonValue before = ok(engine, R"({"verb":"analyze","session":1})");
+  const JsonValue far = fail(engine,
+                             R"({"verb":"analyze","session":1,"changes":[)"
+                             R"({"op":"move","inst":0,"x":1e18,"y":0}]})",
+                             serve::kInvalidChange);
+  const std::string error = far.at("error").as_string();
+  EXPECT_NE(error.find("above the limit of " +
+                       std::to_string(hier::kMaxDesignGrids) +
+                       " (hier::kMaxDesignGrids)"),
+            std::string::npos)
+      << error;
+  const JsonValue back = ok(engine,
+                            R"({"verb":"analyze","session":1,"changes":[)"
+                            R"({"op":"move","inst":0,"x":0,"y":0}]})");
+  const timing::CanonicalForm expected = reference_delay();
+  expect_delay_eq(before.at("delay"), expected);
+  expect_delay_eq(back.at("delay"), expected);
 }
 
 // --- the model table -------------------------------------------------------
